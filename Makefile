@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test check bench bench-json bench-contention bench-contention-smoke bench-e21 bench-replay bench-replay-smoke profile-replay serve-smoke torture clean
+.PHONY: build test check bench bench-json bench-contention bench-contention-smoke bench-e21 bench-replay-smoke profile-replay serve-smoke torture clean
 
 build:
 	$(GO) build ./...
@@ -12,11 +12,9 @@ test:
 # suite, a race-enabled short pass (the engine/runner/chaos tests are
 # where races would hide), fuzz smokes over the crash-recovery scanner
 # and the invariant auditor, the golden-audit gate (the quick
-# experiment matrix must be conservation-clean under strict audit),
+# experiment matrix must be conservation-clean under strict audit) and
 # the sampling validation gate (1/8 set sampling within 2% on every
-# standard machine) and the segmented-replay equivalence gate (exact
-# oracle mode must be bit-identical to serial replay on every standard
-# machine, and ValidateSegmented must report zero miss-rate error).
+# standard machine).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt: needs formatting:"; echo "$$unformatted"; exit 1; fi
@@ -28,8 +26,6 @@ check:
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
-	$(GO) test -run TestRunSegmentedExactMatchesSerial -count=1 ./internal/sim/
-	$(GO) test -run 'TestValidateSegmentedOracle|TestSegmentedSmoke' -count=1 ./internal/engine/
 
 bench:
 	$(GO) test -bench=. -benchmem
@@ -55,15 +51,6 @@ bench-contention:
 # report schema (also part of the ordinary test suite).
 bench-contention-smoke:
 	$(GO) test -run TestContentionSmoke -short -count=1 -v .
-
-# bench-replay regenerates BENCH_PR9.json: exact-path replay ns/access
-# with the frame-precompute stage, segmented single-cell wall clock and
-# speedup at 1/2/4 workers, and the audited stitch errors at the
-# default warmup (see perf_segment_test.go for the methodology; the
-# file records GOMAXPROCS — on a single-core host the speedup is ~1x
-# by construction).
-bench-replay:
-	MC_BENCH_JSON=1 $(GO) test -run 'TestEmitBenchJSONPR9$$' -count=1 -v .
 
 # bench-replay-smoke is the CI perf-regression gate for the replay hot
 # path: a short replay must stay allocation-free and under a generous

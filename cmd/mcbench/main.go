@@ -36,7 +36,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"time"
 
@@ -44,7 +43,6 @@ import (
 	"mobilecache/internal/experiments"
 	"mobilecache/internal/profiling"
 	"mobilecache/internal/sample"
-	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
 )
 
@@ -74,9 +72,6 @@ func run(args []string, out io.Writer) error {
 	audit := fs.String("audit", "warn", "invariant audit mode: off, warn or strict")
 	sampleArg := fs.String("sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
 	sampleValidate := fs.Bool("sample-validate", false, "run the sampled-vs-exact validation grid instead of the experiments")
-	segWorkers := fs.Int("segment-workers", 0, "split every cell's replay into this many concurrent segments (0/1 = serial)")
-	segWarmup := fs.Int("segment-warmup", 0, "per-segment warmup records for -segment-workers (0 = default, <0 = exact full-prefix oracle)")
-	segValidate := fs.Bool("segment-validate", false, "run the segmented-vs-serial stitch audit grid instead of the experiments")
 	cpuProfile := fs.String("cpuprofile", "", "write a pprof CPU profile here")
 	memProfile := fs.String("memprofile", "", "write a pprof heap profile here")
 	if err := fs.Parse(args); err != nil {
@@ -110,12 +105,6 @@ func run(args []string, out io.Writer) error {
 		if err := checkWritableDir(d.flag, d.dir); err != nil {
 			return err
 		}
-	}
-	if *segWorkers < 0 {
-		return fmt.Errorf("-segment-workers %d is negative; use 0 or 1 for serial cells", *segWorkers)
-	}
-	if *segWorkers > 1 && *sampleArg != "" {
-		return fmt.Errorf("-segment-workers does not compose with -sample")
 	}
 	var sampleSpec sample.Spec
 	if *sampleArg != "" {
@@ -173,18 +162,6 @@ func run(args []string, out io.Writer) error {
 
 	if *sampleValidate {
 		return runSampleValidate(opts, sampleSpec, out)
-	}
-	if *segValidate {
-		workers := *segWorkers
-		if workers <= 1 {
-			// Auditing the default segmentation without -segment-workers
-			// keeps the common invocation short: mcbench -segment-validate.
-			workers = 4
-		}
-		return runSegmentValidate(opts, sim.SegmentPlan{Segments: workers, Warmup: *segWarmup, Workers: workers}, out)
-	}
-	if *segWorkers > 1 {
-		return fmt.Errorf("-segment-workers applies to -segment-validate; the experiment grids replay serially")
 	}
 
 	ids := experiments.IDs()
@@ -265,39 +242,6 @@ func runSampleValidate(opts experiments.Options, spec sample.Spec, out io.Writer
 	}
 	fmt.Fprintf(out, "\nwall clock: full %v, sampled %v (%.1fx speedup)\n",
 		v.FullWall.Round(time.Millisecond), v.SampledWall.Round(time.Millisecond), v.Speedup())
-	if err := v.Err(); err != nil {
-		fmt.Fprintf(out, "FAIL: %v\n", err)
-		return err
-	}
-	fmt.Fprintf(out, "PASS: every machine within %.1f%% on both metrics\n", 100*validateTolerance)
-	return nil
-}
-
-// runSegmentValidate executes the segmented-vs-serial stitch audit
-// grid (every standard machine × the selected apps × two seed bases)
-// and renders the per-machine error table, the wall-clock comparison
-// and the verdict. A tolerance breach is the returned error, so the
-// process exits non-zero — the same contract the sampling validator
-// has. In oracle mode (-segment-warmup -1) any miss-rate error at all
-// is a stitching bug; the tolerance then only covers float-association
-// noise in the energy terms.
-func runSegmentValidate(opts experiments.Options, seg sim.SegmentPlan, out io.Writer) error {
-	v, err := experiments.ValidateSegmented(opts, seg, validateTolerance)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(out, "segmented replay audit: %d segments, warmup %d, %d apps x 2 seed bases, %d accesses/app\n\n",
-		v.Plan.Segments, v.Plan.Warmup, len(opts.Apps), opts.Accesses)
-	fmt.Fprintf(out, "%-16s %12s %12s %8s %13s %13s %8s\n",
-		"machine", "mr(serial)", "mr(seg)", "err", "E(serial) J", "E(seg) J", "err")
-	for _, m := range v.Machines {
-		fmt.Fprintf(out, "%-16s %12.4f %12.4f %7.2f%% %13.4e %13.4e %7.2f%%\n",
-			m.Machine, m.SerialMissRate, m.SegmentedMissRate, 100*m.MissRateRelErr,
-			m.SerialEnergyJ, m.SegmentedEnergyJ, 100*m.EnergyRelErr)
-	}
-	fmt.Fprintf(out, "\nwall clock: serial %v, segmented %v (%.1fx speedup, GOMAXPROCS=%d)\n",
-		v.SerialWall.Round(time.Millisecond), v.SegmentedWall.Round(time.Millisecond),
-		v.Speedup(), runtime.GOMAXPROCS(0))
 	if err := v.Err(); err != nil {
 		fmt.Fprintf(out, "FAIL: %v\n", err)
 		return err

@@ -138,8 +138,6 @@ type options struct {
 	audit          string
 	sampleArg      string
 	sample         sample.Spec
-	segWorkers     int
-	segWarmup      int
 	// fs, when non-nil, replaces the filesystem under the checkpoint
 	// journal and failure manifest (fault-injection tests only).
 	fs faultfs.FS
@@ -176,12 +174,6 @@ func (o *options) validate() error {
 			return fmt.Errorf("-sample: %w", err)
 		}
 		o.sample = spec
-	}
-	if o.segWorkers < 0 {
-		return fmt.Errorf("-segment-workers %d is negative; use 0 or 1 for serial cells", o.segWorkers)
-	}
-	if o.segWorkers > 1 && o.sampleArg != "" {
-		return fmt.Errorf("-segment-workers does not compose with -sample")
 	}
 	return nil
 }
@@ -220,8 +212,6 @@ func run(args []string, out, errOut io.Writer) error {
 	fs.BoolVar(&opt.resume, "resume", false, "skip cells already completed in the -checkpoint journal")
 	fs.StringVar(&opt.audit, "audit", "warn", "invariant audit mode: off, warn or strict")
 	fs.StringVar(&opt.sampleArg, "sample", "", `set-sampling spec, e.g. "1/8" or "hash:1/8" (default: exact simulation)`)
-	fs.IntVar(&opt.segWorkers, "segment-workers", 0, "split every cell's replay into this many concurrent segments (0/1 = serial; multiplies with -jobs)")
-	fs.IntVar(&opt.segWarmup, "segment-warmup", 0, "per-segment warmup records for -segment-workers (0 = default, <0 = exact full-prefix oracle)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -348,8 +338,6 @@ func sweep(ctx context.Context, spec Spec, opt options, sink engine.Sink, errOut
 		FailuresPath:   opt.failuresOut,
 		Log:            errOut,
 		FS:             opt.fs,
-		SegmentWorkers: opt.segWorkers,
-		SegmentWarmup:  opt.segWarmup,
 	}, sink)
 
 	if runErr != nil && sum.Manifest.TotalCells == 0 {

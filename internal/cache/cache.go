@@ -780,3 +780,58 @@ func (c *Cache) ValidLines() int {
 	occ := c.OccupancyByDomain()
 	return occ[trace.User] + occ[trace.Kernel]
 }
+
+// Index exposes the set/tag decomposition of an address — the pure
+// function of (addr, geometry) the frame-precompute stage evaluates
+// ahead of the lookup loop.
+func (c *Cache) Index(addr uint64) (set int, tag uint64) { return c.index(addr) }
+
+// LookupAt is Lookup with the set/tag decomposition already done (by
+// Index over a precomputed frame). It is otherwise identical: counts
+// the access, touches on hit, and leaves fills to the caller.
+func (c *Cache) LookupAt(set int, tag uint64, write bool, dom trace.Domain, now uint64) (way int, hit bool) {
+	base := set * c.ways
+	c.stats.Accesses[dom]++
+	if c.allOn {
+		tags := c.tags[base : base+c.ways]
+		for w := range tags {
+			if tags[w] == tag {
+				if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
+					c.stats.Hits[dom]++
+					if c.policy == LRU && !write {
+						c.seq++
+						ln.lruSeq = c.seq
+						c.seqs[base+w] = c.seq
+						ln.meta.LastTouch = now
+						ln.meta.RefreshCount = 0
+					} else {
+						c.touchLine(ln, set, w, write, dom, now)
+					}
+					return w, true
+				}
+			}
+		}
+		c.stats.Misses[dom]++
+		return -1, false
+	}
+	for m := c.enabledMask; m != 0; m &= m - 1 {
+		w := bits.TrailingZeros64(m)
+		if c.tags[base+w] == tag {
+			if ln := &c.lines[base+w]; ln.valid && ln.tag == tag {
+				c.stats.Hits[dom]++
+				if c.policy == LRU && !write {
+					c.seq++
+					ln.lruSeq = c.seq
+					c.seqs[base+w] = c.seq
+					ln.meta.LastTouch = now
+					ln.meta.RefreshCount = 0
+				} else {
+					c.touchLine(ln, set, w, write, dom, now)
+				}
+				return w, true
+			}
+		}
+	}
+	c.stats.Misses[dom]++
+	return -1, false
+}

@@ -12,9 +12,9 @@ import (
 // reads seqs the same way. Redundant state invites divergence, so this
 // property test drives a cache through randomized mixes of every
 // mutation the sidecars must track — accesses (read and write, both
-// domains), way gating with flushes, targeted invalidations, expiry
-// marks and Snapshot/Restore round-trips — and re-checks the mirror
-// invariant throughout, on every replacement policy:
+// domains), way gating with flushes, targeted invalidations and expiry
+// marks — and re-checks the mirror invariant throughout, on every
+// replacement policy:
 //
 //	lines[i].valid  ⇒  tags[i] == lines[i].tag && seqs[i] == lines[i].lruSeq
 //	!lines[i].valid ⇒  tags[i] == invalidTag  && seqs[i] == 0
@@ -66,8 +66,6 @@ func TestSidecarsMirrorLines(t *testing.T) {
 				return state * 0x2545f4914f6cdd1d
 			}
 
-			var snap State
-			var haveSnap bool
 			now := uint64(0)
 			for step := 0; step < 30_000; step++ {
 				now++
@@ -98,14 +96,6 @@ func TestSidecarsMirrorLines(t *testing.T) {
 					set := int(r>>8) % c.Sets()
 					way := int(r>>32) % cfg.Ways
 					c.MarkExpired(set, way, now)
-				case 8: // snapshot
-					snap = c.Snapshot()
-					haveSnap = true
-				case 9: // rewind
-					if haveSnap {
-						c.Restore(snap)
-						checkSidecars(t, c, "after restore")
-					}
 				default: // access: bounded tag space so hits, misses and evictions all occur
 					addr := (r >> 8) % (1 << 16) * 64
 					dom := trace.Domain(r >> 40 & 1)

@@ -117,11 +117,6 @@ type L2 interface {
 	SizeBytes() uint64
 	// PoweredBytes is the currently powered capacity (gating-aware).
 	PoweredBytes() uint64
-	// Snapshot captures the organization's complete mutable state as an
-	// opaque value; Restore rewinds to it. A state only restores into an
-	// L2 of the identical construction (see state.go).
-	Snapshot() L2State
-	Restore(L2State)
 }
 
 // SegmentConfig describes one physical array (a whole unified L2, or

@@ -63,19 +63,6 @@ type Result struct {
 	CyclesByDomain [trace.NumDomains]uint64
 }
 
-// Add accumulates another result into r — the stitching operation for
-// composing per-segment results. Every field is a plain sum.
-func (r *Result) Add(o Result) {
-	r.Instructions += o.Instructions
-	r.Cycles += o.Cycles
-	r.Accesses += o.Accesses
-	r.StallCycles += o.StallCycles
-	r.IdleCycles += o.IdleCycles
-	for d := range r.CyclesByDomain {
-		r.CyclesByDomain[d] += o.CyclesByDomain[d]
-	}
-}
-
 // IPC is instructions per active cycle.
 func (r Result) IPC() float64 {
 	if r.Cycles == 0 {
@@ -133,68 +120,9 @@ func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 // Now reports the current simulated cycle.
 func (c *CPU) Now() uint64 { return c.now }
 
-// State is a copyable snapshot of the CPU's own mutable state — the
-// simulated clock. Replay-loop state lives in RunState; the staging
-// buffers are scratch.
-type State struct {
-	Now uint64
-}
-
-// Snapshot captures the CPU state.
-func (c *CPU) Snapshot() State { return State{Now: c.now} }
-
-// Restore rewinds the CPU to a snapshot.
-func (c *CPU) Restore(s State) { c.now = s.Now }
-
-// RunState is the resumable replay state a sequence of RunFrom calls
-// threads: the accumulated result plus the idle/advance countdowns that
-// must survive a segment boundary for the serial composition to be
-// bit-identical to one uninterrupted Run. Obtain one from NewRunState.
-type RunState struct {
-	res Result
-	st  stepState
-}
-
-// Result returns the result accumulated so far.
-func (rs *RunState) Result() Result { return rs.res }
-
-// NewRunState starts a fresh replay: zero counters, idle/advance
-// countdowns reset from the config — exactly the state Run begins with.
-func (c *CPU) NewRunState() *RunState {
-	return &RunState{st: stepState{
-		// Countdown counters replace per-access modulo checks against
-		// IdleEvery/AdvanceEvery; a zero idleLeft start disables idling
-		// (the counter never moves). AdvanceEvery is always positive
-		// after New.
-		idleLeft: c.cfg.IdleEvery,
-		advLeft:  c.cfg.AdvanceEvery,
-		// uint64(float64(instr) * 1.0) is exact for any Gap-sized count,
-		// so a unit CPI — every standard config — can skip the float
-		// round-trip without changing a single cycle.
-		unitCPI: c.cfg.BaseCPI == 1.0,
-	}}
-}
-
 // Run replays up to maxAccesses records from src (0 = until the source
 // ends) and returns the timing result. Run may be called repeatedly;
 // time continues from where the previous call stopped.
-//
-// Run is exactly NewRunState + RunFrom + Finish, so a replay split into
-// segments — consecutive RunFrom calls on one RunState, one Finish at
-// the end — is bit-identical to a single Run by construction (and
-// pinned by the sim-level golden equivalence tests).
-func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
-	rs := c.NewRunState()
-	c.RunFrom(rs, src, maxAccesses)
-	c.Finish()
-	return rs.res
-}
-
-// RunFrom replays up to maxAccesses records from src (0 = until the
-// source ends), continuing the replay rs describes, and returns this
-// call's contribution (also accumulated into rs). Unlike Run it does
-// not synchronize the hierarchy's leakage clocks at the end — call
-// Finish after the last segment. maxAccesses bounds this call alone.
 //
 // Replay runs in frames: each iteration stages up to one frame of
 // records (stepBatchLen, clipped so no frame spans an idle or
@@ -207,9 +135,20 @@ func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 // loop (DecodeFrame) — no intermediate Access staging at all. All
 // paths execute the identical frame step, so results never depend on
 // the source's type.
-func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result {
+func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 	var res Result
-	st := &rs.st
+	st := &stepState{
+		// Countdown counters replace per-access modulo checks against
+		// IdleEvery/AdvanceEvery; a zero idleLeft start disables idling
+		// (the counter never moves). AdvanceEvery is always positive
+		// after New.
+		idleLeft: c.cfg.IdleEvery,
+		advLeft:  c.cfg.AdvanceEvery,
+		// uint64(float64(instr) * 1.0) is exact for any Gap-sized count,
+		// so a unit CPI — every standard config — can skip the float
+		// round-trip without changing a single cycle.
+		unitCPI: c.cfg.BaseCPI == 1.0,
+	}
 	switch cur := src.(type) {
 	case *trace.SliceCursor:
 		// Hot-tier replay: the records already exist in memory, so frames
@@ -271,17 +210,8 @@ func (c *CPU) RunFrom(rs *RunState, src trace.Source, maxAccesses uint64) Result
 			}
 		}
 	}
-	rs.res.Add(res)
-	return res
-}
-
-// Finish synchronizes the hierarchy's leakage clocks with the CPU
-// clock — the step Run performs after its replay loop. Call it once
-// after the last RunFrom of a composed replay; calling it between
-// segments would change how the leakage integral associates (floats)
-// even though every integer counter would be identical.
-func (c *CPU) Finish() {
 	c.hier.Advance(c.now)
+	return res
 }
 
 // batchDecoder is the bulk-fill contract sources can implement to

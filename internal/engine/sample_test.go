@@ -27,12 +27,12 @@ func testCell(t *testing.T, machine string, app int, seed uint64) Cell {
 // resumable.
 func TestSampleKeyAliasing(t *testing.T) {
 	c := testCell(t, "baseline-sram", 0, 1)
-	legacy, err := keyOf(c, 10_000, 0, sample.Spec{}, sim.SegmentPlan{})
+	legacy, err := keyOf(c, 10_000, 0, sample.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, spec := range []sample.Spec{{Factor: 1}, {Factor: 1, Hash: true}} {
-		k, err := keyOf(c, 10_000, 0, spec, sim.SegmentPlan{})
+		k, err := keyOf(c, 10_000, 0, spec)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +42,7 @@ func TestSampleKeyAliasing(t *testing.T) {
 	}
 	seen := map[interface{}]string{legacy: "full"}
 	for _, spec := range []sample.Spec{{Factor: 2}, {Factor: 8}, {Factor: 8, Hash: true}, {Factor: 128}} {
-		k, err := keyOf(c, 10_000, 0, spec, sim.SegmentPlan{})
+		k, err := keyOf(c, 10_000, 0, spec)
 		if err != nil {
 			t.Fatal(err)
 		}

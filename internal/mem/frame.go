@@ -106,7 +106,7 @@ func (s *frameL1) flush() {
 // time now, where pre[k].Busy is the busy cycles the CPU charges
 // before record k's access. It returns the frame's clock totals; the
 // caller's clock advances by Busy+Stall. Semantics are bit-identical
-// to calling Access per record at the same times.
+// to calling AccessPre per record at the same times.
 func (h *Hierarchy) AccessFrame(pre []FramePre, now uint64) FrameStats {
 	var fs FrameStats
 	if !h.L1D.c.FrameKernelOK() || !h.L1I.c.FrameKernelOK() {
@@ -197,9 +197,10 @@ func (h *Hierarchy) accessFrameSlow(pre []FramePre, now uint64) FrameStats {
 	return fs
 }
 
-// AccessPre is Access with the precomputed context applied: identical
-// counters, state transitions and stall cycles, minus the per-access
-// routing and index arithmetic.
+// AccessPre performs one precomputed CPU access at time now and returns
+// the stall cycles the instruction suffers beyond its pipelined L1 hit:
+// zero on an L1 hit, otherwise whatever missPath charges. It is the
+// per-record path the frame kernel falls back to (accessFrameSlow).
 func (h *Hierarchy) AccessPre(p *FramePre, now uint64) uint64 {
 	l1 := h.L1D
 	if p.Kind == trace.KindIfetch {

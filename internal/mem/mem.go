@@ -279,38 +279,15 @@ func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error)
 	return &Hierarchy{L1I: i, L1D: d, L2: l2, DRAM: dram}, nil
 }
 
-// Access performs one CPU access at time now and returns the stall
-// cycles the instruction suffers beyond its pipelined L1 hit.
-//
-// Model: L1 hits stall nothing. An L1 miss pays the L2 access (bank
-// wait + array read); an L2 miss additionally pays DRAM. Dirty L1
-// victims are written back into the L2 (write-allocate, no fetch);
-// dirty L2 victims are written back to DRAM. Writebacks consume
-// bandwidth and energy but do not stall the CPU.
-func (h *Hierarchy) Access(a trace.Access, now uint64) uint64 {
-	l1 := h.L1D
-	if a.Op == trace.Ifetch {
-		l1 = h.L1I
-	}
-	write := a.Op.IsWrite()
-
-	// Fused allocation-free lookup: probe, access counting and hit-path
-	// touch in one call — the dominant case (L1 hit) touches the cache
-	// exactly once.
-	if _, _, hit := l1.c.Lookup(a.Addr, write, a.Domain, now); hit {
-		if write {
-			l1.meter.Write(1)
-		} else {
-			l1.meter.Read(1)
-		}
-		return 0
-	}
-	return h.missPath(l1, a, write, now)
-}
-
-// missPath is the L1-miss continuation shared by Access and AccessPre:
-// demand fill through the L2 (and DRAM on an L2 miss), victim
-// writeback, and the optional next-line prefetch.
+// missPath is the L1-miss continuation shared by the frame kernel and
+// AccessPre, and the hierarchy's access model past the L1: an L1 miss
+// pays the L2 access (bank wait + array read), and an L2 miss
+// additionally pays DRAM; the return value is those stall cycles. L1
+// hits stall nothing (the caller handles them). Dirty L1 victims are
+// written back into the L2 (write-allocate, no fetch) and dirty L2
+// victims to DRAM; writebacks consume bandwidth and energy but do not
+// stall the CPU. The optional next-line prefetch runs off the critical
+// path.
 func (h *Hierarchy) missPath(l1 *L1, a trace.Access, write bool, now uint64) uint64 {
 	// L1 miss: demand-read the block from L2.
 	l1.meter.Read(1) // tag probe

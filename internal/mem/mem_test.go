@@ -32,6 +32,14 @@ func testHierarchy(t *testing.T) (*Hierarchy, *DRAM) {
 	return h, dram
 }
 
+// access drives one CPU access through the per-record precomputed path
+// (PrecomputeFrame + AccessPre) and returns its stall cycles.
+func access(h *Hierarchy, a trace.Access, now uint64) uint64 {
+	var pre [1]FramePre
+	h.PrecomputeFrame([]trace.Access{a}, pre[:])
+	return h.AccessPre(&pre[0], now)
+}
+
 func TestDRAMAccounting(t *testing.T) {
 	d := NewDRAM(DefaultDRAMConfig())
 	lat := d.Read(0x1000)
@@ -124,11 +132,11 @@ func TestNewHierarchyValidation(t *testing.T) {
 func TestL1HitNoStall(t *testing.T) {
 	h, _ := testHierarchy(t)
 	a := trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}
-	stall1 := h.Access(a, 100)
+	stall1 := access(h, a, 100)
 	if stall1 == 0 {
 		t.Fatal("cold access should stall (L2+DRAM)")
 	}
-	stall2 := h.Access(a, 200)
+	stall2 := access(h, a, 200)
 	if stall2 != 0 {
 		t.Fatalf("L1 hit stalled %d cycles", stall2)
 	}
@@ -136,8 +144,8 @@ func TestL1HitNoStall(t *testing.T) {
 
 func TestIfetchRoutesToL1I(t *testing.T) {
 	h, _ := testHierarchy(t)
-	h.Access(trace.Access{Addr: 0x4000, Op: trace.Ifetch, Domain: trace.User}, 1)
-	h.Access(trace.Access{Addr: 0x8000, Op: trace.Load, Domain: trace.User}, 2)
+	access(h, trace.Access{Addr: 0x4000, Op: trace.Ifetch, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x8000, Op: trace.Load, Domain: trace.User}, 2)
 	if h.L1I.Stats().TotalAccesses() != 1 {
 		t.Fatalf("L1I accesses = %d, want 1", h.L1I.Stats().TotalAccesses())
 	}
@@ -148,7 +156,7 @@ func TestIfetchRoutesToL1I(t *testing.T) {
 
 func TestL2MissPaysDRAM(t *testing.T) {
 	h, dram := testHierarchy(t)
-	stall := h.Access(trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 100)
+	stall := access(h, trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 100)
 	if stall < DefaultDRAMConfig().LatencyCycles {
 		t.Fatalf("cold stall %d below DRAM latency", stall)
 	}
@@ -160,14 +168,14 @@ func TestL2MissPaysDRAM(t *testing.T) {
 	// in the same L1 set; all go to different L2 sets.
 	reads := dram.Reads()
 	for i := uint64(0); i < 5; i++ {
-		h.Access(trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 200+i*10)
+		access(h, trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 200+i*10)
 	}
 	missesBefore := dram.Reads() - reads
 	if missesBefore != 5 {
 		t.Fatalf("expected 5 cold DRAM fills, got %d", missesBefore)
 	}
 	// The first of those five was evicted from L1 but lives in L2.
-	stall = h.Access(trace.Access{Addr: 0x100000, Op: trace.Load, Domain: trace.User}, 500)
+	stall = access(h, trace.Access{Addr: 0x100000, Op: trace.Load, Domain: trace.User}, 500)
 	if dram.Reads() != reads+5 {
 		t.Fatal("L2 hit went to DRAM")
 	}
@@ -179,9 +187,9 @@ func TestL2MissPaysDRAM(t *testing.T) {
 func TestDirtyL1WritebackReachesL2(t *testing.T) {
 	h, _ := testHierarchy(t)
 	// Dirty a block, then evict it from L1 via conflicting fills.
-	h.Access(trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.User}, 1)
 	for i := uint64(1); i <= 4; i++ {
-		h.Access(trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
+		access(h, trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
 	}
 	st := h.L2.Stats()
 	// 5 demand reads + 1 writeback write.
@@ -197,9 +205,9 @@ func TestL2TapSeesDemandAndWriteback(t *testing.T) {
 	h, _ := testHierarchy(t)
 	var tapped []trace.Access
 	h.L2Tap = func(a trace.Access) { tapped = append(tapped, a) }
-	h.Access(trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.Kernel}, 1)
+	access(h, trace.Access{Addr: 0x100000, Op: trace.Store, Domain: trace.Kernel}, 1)
 	for i := uint64(1); i <= 4; i++ {
-		h.Access(trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
+		access(h, trace.Access{Addr: 0x100000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
 	}
 	if len(tapped) != 6 {
 		t.Fatalf("tap saw %d records, want 6", len(tapped))
@@ -223,9 +231,9 @@ func TestDomainPreservedThroughWriteback(t *testing.T) {
 	// as a *kernel* access even when user accesses trigger the
 	// eviction — otherwise partitioned L2s would misroute it.
 	h, _ := testHierarchy(t)
-	h.Access(trace.Access{Addr: 0xffff800000000000, Op: trace.Store, Domain: trace.Kernel}, 1)
+	access(h, trace.Access{Addr: 0xffff800000000000, Op: trace.Store, Domain: trace.Kernel}, 1)
 	for i := uint64(1); i <= 4; i++ {
-		h.Access(trace.Access{Addr: 0xffff800000000000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
+		access(h, trace.Access{Addr: 0xffff800000000000 + i*8192, Op: trace.Load, Domain: trace.User}, 1+i)
 	}
 	st := h.L2.Stats()
 	if st.Accesses[trace.Kernel] != 2 { // 1 demand fill + 1 writeback
@@ -238,12 +246,12 @@ func TestNextLinePrefetch(t *testing.T) {
 	h.NextLinePrefetch = true
 	// A miss on block N prefetches N+1: the next sequential access
 	// must hit the L1 without touching DRAM again.
-	h.Access(trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 1)
 	if h.Prefetches != 1 {
 		t.Fatalf("prefetches = %d, want 1", h.Prefetches)
 	}
 	reads := dram.Reads()
-	stall := h.Access(trace.Access{Addr: 0x10040, Op: trace.Load, Domain: trace.User}, 100)
+	stall := access(h, trace.Access{Addr: 0x10040, Op: trace.Load, Domain: trace.User}, 100)
 	if stall != 0 {
 		t.Fatalf("prefetched block stalled %d cycles", stall)
 	}
@@ -252,12 +260,12 @@ func TestNextLinePrefetch(t *testing.T) {
 	}
 	// Ifetches do not trigger the data prefetcher.
 	pf := h.Prefetches
-	h.Access(trace.Access{Addr: 0x40000, Op: trace.Ifetch, Domain: trace.User}, 200)
+	access(h, trace.Access{Addr: 0x40000, Op: trace.Ifetch, Domain: trace.User}, 200)
 	if h.Prefetches != pf {
 		t.Fatal("ifetch triggered the next-line prefetcher")
 	}
 	// Already-resident next blocks are not prefetched again.
-	h.Access(trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 300) // hit, no pf path
+	access(h, trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 300) // hit, no pf path
 	if h.Prefetches != pf {
 		t.Fatal("L1 hit issued a prefetch")
 	}
@@ -265,18 +273,18 @@ func TestNextLinePrefetch(t *testing.T) {
 
 func TestPrefetchDisabledByDefault(t *testing.T) {
 	h, _ := testHierarchy(t)
-	h.Access(trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x10000, Op: trace.Load, Domain: trace.User}, 1)
 	if h.Prefetches != 0 {
 		t.Fatal("prefetcher active without opt-in")
 	}
-	if stall := h.Access(trace.Access{Addr: 0x10040, Op: trace.Load, Domain: trace.User}, 100); stall == 0 {
+	if stall := access(h, trace.Access{Addr: 0x10040, Op: trace.Load, Domain: trace.User}, 100); stall == 0 {
 		t.Fatal("next block hit without prefetching — test setup wrong")
 	}
 }
 
 func TestAdvanceAccumulatesLeakage(t *testing.T) {
 	h, _ := testHierarchy(t)
-	h.Access(trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 1)
 	h.Advance(energy.Cycles(0.01))
 	rep := h.Energy()
 	if rep.L2.LeakageJ <= 0 || rep.L1D.LeakageJ <= 0 {
@@ -294,7 +302,7 @@ func TestAdvanceAccumulatesLeakage(t *testing.T) {
 
 func TestEnergyReportIncludesDRAM(t *testing.T) {
 	h, dram := testHierarchy(t)
-	h.Access(trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 1)
+	access(h, trace.Access{Addr: 0x1000, Op: trace.Load, Domain: trace.User}, 1)
 	rep := h.Energy()
 	if rep.DRAMJ != dram.EnergyJ() || rep.DRAMJ <= 0 {
 		t.Fatalf("DRAM energy = %g, want %g > 0", rep.DRAMJ, dram.EnergyJ())

@@ -265,10 +265,6 @@ type RunReport struct {
 	// whose counters have been scaled back to full-cache estimates;
 	// zero (or one) marks an exact, unsampled report.
 	SampleFactor int `json:",omitempty"`
-
-	// Segments is the segment count of a stitched segmented replay
-	// (RunSegmented); zero marks an ordinary serial report.
-	Segments int `json:",omitempty"`
 }
 
 // L2EnergyJ is the L2's total energy — the quantity the paper's 75%/85%

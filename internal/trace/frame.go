@@ -116,7 +116,7 @@ func (c *Cursor) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
 	if p == nil {
 		return 0
 	}
-	n := c.end - c.i
+	n := p.n - c.i
 	if n <= 0 {
 		return 0
 	}

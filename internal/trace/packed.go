@@ -213,32 +213,24 @@ type Cursor struct {
 	gapPos   int
 	prevAddr uint64
 	prevPC   uint64
-
-	// start/end bound the cursor to a segment of the trace: records
-	// start.I .. end-1. Packed.Cursor spans the whole trace;
-	// Packed.CursorAt (segment.go) builds narrower views. The zero
-	// Cursor has end 0 and is exhausted, matching its documented
-	// empty-trace behavior.
-	start Pos
-	end   int
 }
 
 // Cursor returns a fresh replay cursor positioned at the first record.
-func (p *Packed) Cursor() Cursor { return Cursor{p: p, end: p.n} }
+func (p *Packed) Cursor() Cursor { return Cursor{p: p} }
 
-// Len reports the number of records in the cursor's view — the whole
-// trace for Packed.Cursor, the segment length for Packed.CursorAt.
-func (c *Cursor) Len() int { return c.end - c.start.I }
+// Len reports the total number of records in the underlying trace.
+func (c *Cursor) Len() int {
+	if c.p == nil {
+		return 0
+	}
+	return c.p.n
+}
 
 // Remaining reports how many records are left to replay.
-func (c *Cursor) Remaining() int { return c.end - c.i }
+func (c *Cursor) Remaining() int { return c.Len() - c.i }
 
-// Reset rewinds the cursor to the beginning of its view (the start of
-// the trace, or the segment start for a CursorAt view).
-func (c *Cursor) Reset() {
-	c.i, c.addrPos, c.pcPos, c.gapPos = c.start.I, c.start.AddrPos, c.start.PCPos, c.start.GapPos
-	c.prevAddr, c.prevPC = c.start.PrevAddr, c.start.PrevPC
-}
+// Reset rewinds the cursor to the first record.
+func (c *Cursor) Reset() { *c = Cursor{p: c.p} }
 
 // Decode fills dst with up to len(dst) records, advancing the cursor,
 // and reports how many it wrote (0 at end of trace). It is the bulk
@@ -250,7 +242,7 @@ func (c *Cursor) Decode(dst []Access) int {
 	if p == nil {
 		return 0
 	}
-	n := c.end - c.i
+	n := p.n - c.i
 	if n <= 0 {
 		return 0
 	}
@@ -294,7 +286,7 @@ func (c *Cursor) Decode(dst []Access) int {
 
 // Next decodes the next record. It performs no allocation.
 func (c *Cursor) Next() (Access, bool) {
-	if c.p == nil || c.i >= c.end {
+	if c.p == nil || c.i >= c.p.n {
 		return Access{}, false
 	}
 	p := c.p

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 )
 
@@ -126,6 +127,88 @@ func TestPackedCursorsIndependent(t *testing.T) {
 	got, ok := b.Next()
 	if !ok || got != recs[0] {
 		t.Fatalf("second cursor saw %+v, want %+v", got, recs[0])
+	}
+}
+
+// TestCursorDecodePartialFinalFrame pins the bulk decoder's behavior
+// when the last batch is smaller than the destination buffer: the final
+// Decode must report exactly the leftover count, fill only that prefix,
+// and the next Decode must report 0.
+func TestCursorDecodePartialFinalFrame(t *testing.T) {
+	recs := synthAccesses(1000)
+	p := PackSlice(recs)
+	cur := p.Cursor()
+	buf := make([]Access, 256)
+	var got []Access
+	for {
+		n := cur.Decode(buf)
+		if n == 0 {
+			break
+		}
+		got = append(got, buf[:n]...)
+	}
+	if len(got) != len(recs) {
+		t.Fatalf("decoded %d records, want %d", len(got), len(recs))
+	}
+	// 1000 = 3*256 + 232: the final frame is partial.
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatal("decoded records differ from source")
+	}
+	if n := cur.Decode(buf); n != 0 {
+		t.Fatalf("Decode after exhaustion = %d, want 0", n)
+	}
+}
+
+// TestCursorRemainingAfterPartialDecode checks Remaining stays exact
+// through a mix of partial Decode and single-record Next calls.
+func TestCursorRemainingAfterPartialDecode(t *testing.T) {
+	recs := synthAccesses(500)
+	p := PackSlice(recs)
+	cur := p.Cursor()
+	buf := make([]Access, 137)
+	if n := cur.Decode(buf); n != 137 {
+		t.Fatalf("first Decode = %d, want 137", n)
+	}
+	if cur.Remaining() != 500-137 {
+		t.Fatalf("Remaining after partial decode = %d, want %d", cur.Remaining(), 500-137)
+	}
+	if _, ok := cur.Next(); !ok {
+		t.Fatal("Next failed mid-trace")
+	}
+	if cur.Remaining() != 500-138 {
+		t.Fatalf("Remaining after Next = %d, want %d", cur.Remaining(), 500-138)
+	}
+	// Drain: the leftover count must be exactly Remaining.
+	total := 138
+	for {
+		n := cur.Decode(buf)
+		if n == 0 {
+			break
+		}
+		total += n
+	}
+	if total != 500 {
+		t.Fatalf("drained %d records, want 500", total)
+	}
+}
+
+// TestCursorResetMidFrame resets in the middle of a decoded frame and
+// requires the replay to restart from the first record with all delta
+// predecessors rewound.
+func TestCursorResetMidFrame(t *testing.T) {
+	recs := synthAccesses(300)
+	p := PackSlice(recs)
+	cur := p.Cursor()
+	buf := make([]Access, 128)
+	cur.Decode(buf)
+	cur.Decode(buf[:70]) // stop mid-trace, mid-"frame"
+	cur.Reset()
+	if cur.Remaining() != 300 {
+		t.Fatalf("Remaining after Reset = %d, want 300", cur.Remaining())
+	}
+	got := Collect(&cur, 0)
+	if !reflect.DeepEqual(got, recs) {
+		t.Fatal("replay after mid-frame Reset differs from source")
 	}
 }
 
