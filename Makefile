@@ -10,7 +10,8 @@ test:
 
 # check is the pre-commit gate: gofmt cleanliness, vet, the full test
 # suite, a race-enabled short pass (the engine/runner/chaos tests are
-# where races would hide), fuzz smokes over the crash-recovery scanner
+# where races would hide, and the paper-suite golden test, whose
+# experiments run their cells and custom machines concurrently), fuzz smokes over the crash-recovery scanner
 # and the invariant auditor, the golden-audit gate (the quick
 # experiment matrix must be conservation-clean under strict audit) and
 # the sampling validation gate (1/8 set sampling within 2% on every
@@ -22,6 +23,7 @@ check:
 	$(GO) test ./...
 	$(GO) test -race -short ./...
 	$(GO) test -race ./internal/engine/ ./internal/runner/ ./internal/tracestore/ ./internal/shardlru/ ./internal/sim/ ./internal/sample/ ./internal/checkpoint/ ./internal/faultfs/ ./internal/invariant/ ./internal/jobs/ ./internal/cpu/ ./internal/trace/ ./internal/mem/ ./internal/core/ ./internal/cache/ ./internal/energy/ ./internal/sttram/ ./cmd/mcserved/ ./cmd/mcsweep/
+	$(GO) test -race -count=1 -run TestSuiteGolden ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/

@@ -67,7 +67,7 @@ func (o *options) register(fs *flag.FlagSet) {
 	fs.DurationVar(&o.timeout, "timeout", 0, "per-cell timeout (0 = none)")
 	fs.IntVar(&o.retries, "retries", 0, "per-cell retries after the first attempt")
 	fs.BoolVar(&o.keepGoing, "keep-going", true, "let sibling cells finish when a cell exhausts its attempts")
-	fs.StringVar(&o.audit, "audit", "", "invariant audit mode for all simulations (off, sampled, full)")
+	fs.StringVar(&o.audit, "audit", "", "invariant audit mode for all simulations: off, warn or strict (empty keeps the default, warn)")
 	fs.IntVar(&o.traceCacheMB, "trace-cache-mb", 0, "trace arena budget in MiB (0 = engine default)")
 	fs.DurationVar(&o.drainTimeout, "drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	fs.DurationVar(&o.probeInterval, "probe-interval", jobs.DefaultProbeInterval,

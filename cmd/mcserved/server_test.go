@@ -5,6 +5,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"flag"
 	"fmt"
 	"io"
 	"net/http"
@@ -13,6 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"mobilecache/internal/engine"
+	"mobilecache/internal/invariant"
 	"mobilecache/internal/jobs"
 )
 
@@ -365,6 +368,39 @@ func TestRunFlagValidation(t *testing.T) {
 		}
 		if errOut.Len() == 0 {
 			t.Fatalf("run(%v) produced no diagnostic", bad)
+		}
+	}
+}
+
+// Every audit mode the -audit help names must be one CheckAudit
+// accepts, and every mode the auditor knows must be named.
+func TestAuditHelpNamesValidModes(t *testing.T) {
+	fs := flag.NewFlagSet("mcserved", flag.ContinueOnError)
+	var o options
+	o.register(fs)
+	usage := fs.Lookup("audit").Usage
+	_, list, ok := strings.Cut(usage, ": ")
+	if !ok {
+		t.Fatalf("-audit help %q does not list its modes after a colon", usage)
+	}
+	list, _, _ = strings.Cut(list, " (")
+	modes := strings.FieldsFunc(strings.ReplaceAll(list, " or ", ","), func(r rune) bool { return r == ',' || r == ' ' })
+	named := map[string]bool{}
+	for _, m := range modes {
+		if err := engine.CheckAudit(m); err != nil {
+			t.Errorf("-audit help names %q, which CheckAudit rejects: %v", m, err)
+		}
+		named[m] = true
+	}
+	for _, m := range []invariant.Mode{invariant.ModeOff, invariant.ModeWarn, invariant.ModeStrict} {
+		if !named[m.String()] {
+			t.Errorf("-audit help %q does not name mode %q", usage, m)
+		}
+	}
+	for _, m := range modes {
+		if err := (&options{addr: "x", data: "x", maxJobs: 1, maxClientJobs: 1, maxCells: 1,
+			drainTimeout: time.Second, probeInterval: time.Second, audit: m}).validate(); err != nil {
+			t.Errorf("-audit %s rejected: %v", m, err)
 		}
 	}
 }

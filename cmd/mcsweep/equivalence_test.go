@@ -67,7 +67,6 @@ func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
 	}
 	var cells []resolved
 	var rcells []runner.Cell
-	index := map[runner.Cell]int{}
 	for _, mName := range spec.Machines {
 		for _, aName := range spec.Apps {
 			prof, err := workload.ProfileByName(aName)
@@ -76,7 +75,6 @@ func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
 			}
 			for _, seed := range spec.Seeds {
 				rc := runner.Cell{Machine: mName, App: prof.Name, Seed: seed}
-				index[rc] = len(cells)
 				cells = append(cells, resolved{machine: mName, app: prof, seed: seed})
 				rcells = append(rcells, rc)
 			}
@@ -84,8 +82,8 @@ func referenceSweepCSV(t *testing.T, spec Spec, rcfg runner.Config) []byte {
 	}
 
 	outcomes, err := runner.Run(context.Background(), rcfg, rcells,
-		func(_ context.Context, rc runner.Cell) (sim.RunReport, error) {
-			c := cells[index[rc]]
+		func(_ context.Context, i int, _ runner.Cell) (sim.RunReport, error) {
+			c := cells[i]
 			cfg, err := sim.MachineByName(c.machine)
 			if err != nil {
 				return sim.RunReport{}, err

@@ -199,6 +199,11 @@ func New(cfg Config) *Engine {
 // callers that need to share it with non-engine code paths).
 func (e *Engine) Store() *tracestore.Store { return e.store }
 
+// Workers is the engine's configured worker bound (<= 0 means
+// GOMAXPROCS), for callers that fan out work beside the engine's own
+// plans and want the same bound.
+func (e *Engine) Workers() int { return e.cfg.Workers }
+
 // MemoStats snapshots the run memo's hit/miss/eviction counters (the
 // daemon's /metrics reads them live).
 func (e *Engine) MemoStats() MemoStats { return e.memo.stats() }
@@ -220,7 +225,7 @@ func keyOf(c Cell, accesses, warmup int, spec sample.Spec) (checkpoint.Key, erro
 
 // RunOne executes a single cell through the full pipeline — memo,
 // shared trace arena, audit — without the worker pool. It is the
-// single-cell entry the experiments package and cmd/mcsim use.
+// single-cell entry cmd/mcsim uses.
 func (e *Engine) RunOne(ctx context.Context, c Cell, accesses, warmup int) (sim.RunReport, error) {
 	return e.RunOneSampled(ctx, c, accesses, warmup, sample.Spec{})
 }
@@ -359,7 +364,6 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	// configuration error and must fail the plan before any cell runs.
 	rcells := make([]runner.Cell, len(plan.Cells))
 	keys := make([]checkpoint.Key, len(plan.Cells))
-	index := make(map[runner.Cell]int, len(plan.Cells))
 	for i, c := range plan.Cells {
 		rc := runner.Cell{Machine: c.Machine, App: c.App, Seed: c.Seed}
 		key, err := keyOf(c, plan.Accesses, plan.Warmup, plan.Sample)
@@ -367,7 +371,6 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 			return sum, fmt.Errorf("keying cell %s: %w", rc, err)
 		}
 		rcells[i], keys[i] = rc, key
-		index[rc] = i
 	}
 
 	journal, resumed, discarded, err := e.openJournal(fsys, opt, logw)
@@ -405,8 +408,9 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	fromResume := make([]bool, len(plan.Cells))
 	fromMemo := make([]bool, len(plan.Cells))
 	outcomes, runErr := runner.Run(ctx, rcfg, rcells,
-		func(_ context.Context, rc runner.Cell) (sim.RunReport, error) {
-			i := index[rc]
+		func(_ context.Context, i int, _ runner.Cell) (sim.RunReport, error) {
+			// Dispatch by plan position: labels need not be unique (the
+			// ablations run several variants under one machine name).
 			key := keys[i]
 			rep, ok := resumed[key]
 			if ok {

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"mobilecache/internal/checkpoint"
+	"mobilecache/internal/config"
 	"mobilecache/internal/runner"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/workload"
@@ -64,6 +65,48 @@ func TestPlanValidate(t *testing.T) {
 	}
 	if err := (Plan{Accesses: 10}).Validate(); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
+	}
+}
+
+// TestExecuteDuplicateLabels: cells that share a (machine, app, seed)
+// label but differ in content must each run their own config, and each
+// result must reach the sinks paired with its own cell.
+func TestExecuteDuplicateLabels(t *testing.T) {
+	app := workload.Profiles()[0]
+	big, err := sim.MachineByName("baseline-sram")
+	if err != nil {
+		t.Fatal(err)
+	}
+	small := big
+	small.Unified = new(config.Segment)
+	*small.Unified = *big.Unified
+	small.Unified.SizeKB = 128
+	const accesses = 20_000
+	plan := Plan{Accesses: accesses, Cells: []Cell{
+		{Machine: "x", Config: big, App: app.Name, Profile: app, Seed: 3},
+		{Machine: "x", Config: small, App: app.Name, Profile: app, Seed: 3},
+	}}
+	for _, workers := range []int{1, 2} {
+		col := NewCollector()
+		if _, err := New(Config{Workers: workers}).Execute(context.Background(), plan, ExecOptions{}, col); err != nil {
+			t.Fatal(err)
+		}
+		if len(col.Results) != 2 {
+			t.Fatalf("workers=%d: %d results, want 2", workers, len(col.Results))
+		}
+		for i, res := range col.Results {
+			want, err := sim.RunWorkload(plan.Cells[i].Config, app, 3, accesses)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Index != i || !reflect.DeepEqual(res.Cell, plan.Cells[i]) {
+				t.Fatalf("workers=%d: result %d carries cell %d", workers, i, res.Index)
+			}
+			if !reflect.DeepEqual(res.Report, want) {
+				t.Fatalf("workers=%d: cell %d got %d L2 misses, run alone it has %d",
+					workers, i, res.Report.L2.TotalMisses(), want.L2.TotalMisses())
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/engine"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/stats"
@@ -79,23 +80,25 @@ func runE13(opts Options) (Result, error) {
 
 	tb := report.NewTable(fmt.Sprintf("E13: replacement policy sensitivity (app %s)", app.Name),
 		"policy", "baseline missrate", "baseline IPC", "sp missrate", "sp IPC")
+	seed := appSeed(opts.Seed, 0)
+	var cells []engine.Cell
 	for _, pol := range policies {
 		base := config.Default()
 		base.Unified.Policy = pol
-		bRep, err := runWorkload(opts, base, app, appSeed(opts.Seed, 0))
-		if err != nil {
-			return res, err
-		}
 		spCfg, err := sim.MachineByName("sp")
 		if err != nil {
 			return res, err
 		}
 		spCfg.User.Policy = pol
 		spCfg.Kernel.Policy = pol
-		sRep, err := runWorkload(opts, spCfg, app, appSeed(opts.Seed, 0))
-		if err != nil {
-			return res, err
-		}
+		cells = append(cells, cell(base, app, seed), cell(spCfg, app, seed))
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	for i, pol := range policies {
+		bRep, sRep := reps[2*i], reps[2*i+1]
 		tb.AddRow(pol,
 			report.Pct(bRep.L2.MissRate()), fmt.Sprintf("%.4f", bRep.IPC()),
 			report.Pct(sRep.L2.MissRate()), fmt.Sprintf("%.4f", sRep.IPC()))
@@ -115,16 +118,21 @@ func runE14(opts Options) (Result, error) {
 
 	tb := report.NewTable(fmt.Sprintf("E14: unified SRAM L2 size sweep (app %s)", app.Name),
 		"size", "missrate", "IPC", "L2 energy", "energy/1MB-relative")
-	var oneMB float64
-	var energies []float64
+	var cells []engine.Cell
 	for _, kb := range sizes {
 		cfg := config.Default()
 		cfg.Name = fmt.Sprintf("sram-%dk", kb)
 		cfg.Unified.SizeKB = kb
-		rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-		if err != nil {
-			return res, err
-		}
+		cells = append(cells, cell(cfg, app, appSeed(opts.Seed, 0)))
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	var oneMB float64
+	var energies []float64
+	for i, kb := range sizes {
+		rep := reps[i]
 		e := rep.L2EnergyJ()
 		energies = append(energies, e)
 		if kb == 1024 {
@@ -160,26 +168,27 @@ func runE16(opts Options) (Result, error) {
 		"scheme", "flat saving", "flat loss", "open-page saving", "open-page loss")
 	type point struct{ saving, loss float64 }
 	results := map[string]map[string]point{"flat": {}, "open-page": {}}
-	for _, dramPolicy := range []string{"flat", "open-page"} {
-		baseCfg, err := sim.MachineByName("baseline-sram")
-		if err != nil {
-			return res, err
-		}
-		baseCfg.DRAM.Policy = dramPolicy
-		base, err := runWorkload(opts, baseCfg, app, appSeed(opts.Seed, 0))
-		if err != nil {
-			return res, err
-		}
-		for _, scheme := range []string{"sp-mr", "dp-sr"} {
+	policies := []string{"flat", "open-page"}
+	schemes := []string{"baseline-sram", "sp-mr", "dp-sr"}
+	var cells []engine.Cell
+	for _, dramPolicy := range policies {
+		for _, scheme := range schemes {
 			cfg, err := sim.MachineByName(scheme)
 			if err != nil {
 				return res, err
 			}
 			cfg.DRAM.Policy = dramPolicy
-			rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-			if err != nil {
-				return res, err
-			}
+			cells = append(cells, cell(cfg, app, appSeed(opts.Seed, 0)))
+		}
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	for i, dramPolicy := range policies {
+		base := reps[i*len(schemes)]
+		for j, scheme := range schemes[1:] {
+			rep := reps[i*len(schemes)+1+j]
 			results[dramPolicy][scheme] = point{
 				saving: 1 - rep.L2EnergyJ()/base.L2EnergyJ(),
 				loss:   1 - rep.IPC()/base.IPC(),
@@ -211,32 +220,33 @@ func runE17(opts Options) (Result, error) {
 		"scheme", "no-pf saving", "no-pf loss", "pf saving", "pf loss")
 	type point struct{ saving, loss float64 }
 	results := map[bool]map[string]point{false: {}, true: {}}
-	var pfBaseIPC, noPfBaseIPC float64
-	for _, pf := range []bool{false, true} {
-		baseCfg, err := sim.MachineByName("baseline-sram")
-		if err != nil {
-			return res, err
-		}
-		baseCfg.Prefetch = pf
-		base, err := runWorkload(opts, baseCfg, app, appSeed(opts.Seed, 0))
-		if err != nil {
-			return res, err
-		}
-		if pf {
-			pfBaseIPC = base.IPC()
-		} else {
-			noPfBaseIPC = base.IPC()
-		}
-		for _, scheme := range []string{"sp-mr", "dp-sr"} {
+	prefetch := []bool{false, true}
+	schemes := []string{"baseline-sram", "sp-mr", "dp-sr"}
+	var cells []engine.Cell
+	for _, pf := range prefetch {
+		for _, scheme := range schemes {
 			cfg, err := sim.MachineByName(scheme)
 			if err != nil {
 				return res, err
 			}
 			cfg.Prefetch = pf
-			rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-			if err != nil {
-				return res, err
-			}
+			cells = append(cells, cell(cfg, app, appSeed(opts.Seed, 0)))
+		}
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	var pfBaseIPC, noPfBaseIPC float64
+	for i, pf := range prefetch {
+		base := reps[i*len(schemes)]
+		if pf {
+			pfBaseIPC = base.IPC()
+		} else {
+			noPfBaseIPC = base.IPC()
+		}
+		for j, scheme := range schemes[1:] {
+			rep := reps[i*len(schemes)+1+j]
 			results[pf][scheme] = point{
 				saving: 1 - rep.L2EnergyJ()/base.L2EnergyJ(),
 				loss:   1 - rep.IPC()/base.IPC(),
@@ -268,22 +278,30 @@ func runE15(opts Options) (Result, error) {
 
 	tb := report.NewTable(fmt.Sprintf("E15: energy saving vs idle time (app %s)", app.Name),
 		"idle frac", "baseline energy", "sp-mr saving", "dp-sr saving")
-	var firstSPMR, lastSPMR float64
-	for i, idle := range idleCycles {
-		var baseE float64
-		var idleFrac float64
-		savings := map[string]float64{}
-		for _, scheme := range []string{"baseline-sram", "sp-mr", "dp-sr"} {
+	schemes := []string{"baseline-sram", "sp-mr", "dp-sr"}
+	var cells []engine.Cell
+	for _, idle := range idleCycles {
+		for _, scheme := range schemes {
 			cfg, err := sim.MachineByName(scheme)
 			if err != nil {
 				return res, err
 			}
 			cfg.IdleEvery = 1000
 			cfg.IdleCycles = idle
-			rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-			if err != nil {
-				return res, err
-			}
+			cells = append(cells, cell(cfg, app, appSeed(opts.Seed, 0)))
+		}
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	var firstSPMR, lastSPMR float64
+	for i, idle := range idleCycles {
+		var baseE float64
+		var idleFrac float64
+		savings := map[string]float64{}
+		for j, scheme := range schemes {
+			rep := reps[i*len(schemes)+j]
 			if scheme == "baseline-sram" {
 				baseE = rep.L2EnergyJ()
 				if w := rep.CPU.WallCycles(); w > 0 {

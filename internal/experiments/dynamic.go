@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/engine"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/trace"
@@ -37,27 +38,29 @@ func runE9(opts Options) (Result, error) {
 	if len(apps) > 3 {
 		apps = apps[:3]
 	}
-	var gens []trace.Source
+	// Not an engine cell: the session chains three apps' traces, which
+	// a single-profile cell cannot express. The arena serves each leg.
+	var legs []trace.Source
 	names := ""
 	for i, app := range apps {
-		g, err := workload.NewGenerator(app, appSeed(opts.Seed, i), uint64(opts.Accesses/maxInt(app.Phases, 1)))
+		tr, err := opts.eng().Store().GetTrace(app, appSeed(opts.Seed, i), opts.Accesses)
 		if err != nil {
 			return res, err
 		}
-		gens = append(gens, g)
+		legs = append(legs, tr.Cursor())
 		if i > 0 {
 			names += " -> "
 		}
 		names += app.Name
 	}
-	src := workload.NewPhasedSource(opts.Accesses, gens...)
+	src := workload.NewPhasedSource(opts.Accesses, legs...)
 	rep := sim.RunTrace(m, names, src, 0)
 
 	hist := rep.History
 	tb := report.NewTable(fmt.Sprintf("E9: partition trajectory over session %q", names),
 		"epoch", "at access", "user ways", "kernel ways", "gated ways", "est missrate")
 	// Sample up to 24 rows evenly so long runs stay readable.
-	step := maxInt(len(hist)/24, 1)
+	step := max(len(hist)/24, 1)
 	for i := 0; i < len(hist); i += step {
 		d := hist[i]
 		tb.AddRow(fmt.Sprint(d.Epoch), fmt.Sprint(d.AtAccess),
@@ -102,7 +105,7 @@ func runE9(opts Options) (Result, error) {
 	res.addValue("distinct_allocations", float64(len(distinct)))
 	res.addValue("min_powered_ways", float64(minPow))
 	res.addValue("max_powered_ways", float64(maxPow))
-	res.addValue("gated_epoch_fraction", float64(gatedEpochs)/float64(maxInt(len(hist), 1)))
+	res.addValue("gated_epoch_fraction", float64(gatedEpochs)/float64(max(len(hist), 1)))
 	res.addValue("flush_writebacks", float64(rep.FlushWritebacks))
 	res.addNote("across %d epochs the controller used %d distinct allocations, powering between %d and %d of 16 ways",
 		len(hist), len(distinct), minPow, maxPow)
@@ -114,20 +117,14 @@ func runE9(opts Options) (Result, error) {
 func runE12(opts Options) (Result, error) {
 	var res Result
 	app := opts.Apps[0]
+	seed := appSeed(opts.Seed, 0)
 	baseCfg, err := sim.MachineByName("baseline-sram")
 	if err != nil {
 		return res, err
 	}
-	base, err := runWorkload(opts, baseCfg, app, appSeed(opts.Seed, 0))
-	if err != nil {
-		return res, err
-	}
-
-	tb := report.NewTable(fmt.Sprintf("E12: dynamic controller ablation on %s (vs baseline-sram)", app.Name),
-		"epoch accesses", "slack", "norm energy", "norm IPC", "avg powered ways", "flush writebacks")
+	cells := []engine.Cell{cell(baseCfg, app, seed)}
 	epochs := []uint64{10_000, 50_000, 200_000}
 	slacks := []float64{0.001, 0.005, 0.02}
-	bestEnergy, worstEnergy := 10.0, 0.0
 	for _, ep := range epochs {
 		for _, sl := range slacks {
 			cfg, err := sim.MachineByName("dp")
@@ -135,10 +132,21 @@ func runE12(opts Options) (Result, error) {
 				return res, err
 			}
 			cfg.Dynamic = &config.Dynamic{EpochAccesses: ep, Slack: sl}
-			rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-			if err != nil {
-				return res, err
-			}
+			cells = append(cells, cell(cfg, app, seed))
+		}
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	base := reps[0]
+
+	tb := report.NewTable(fmt.Sprintf("E12: dynamic controller ablation on %s (vs baseline-sram)", app.Name),
+		"epoch accesses", "slack", "norm energy", "norm IPC", "avg powered ways", "flush writebacks")
+	bestEnergy, worstEnergy := 10.0, 0.0
+	for i, ep := range epochs {
+		for j, sl := range slacks {
+			rep := reps[1+i*len(slacks)+j]
 			normE := rep.L2EnergyJ() / base.L2EnergyJ()
 			normI := rep.IPC() / base.IPC()
 			avgWays := 0.0

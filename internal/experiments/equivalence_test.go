@@ -9,10 +9,12 @@ package experiments
 // name-keyed cache's staleness bug) is actually fixed.
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
 	"mobilecache/internal/engine"
+	"mobilecache/internal/runner"
 	"mobilecache/internal/sim"
 )
 
@@ -43,7 +45,7 @@ func TestMatrixMatchesDirectRuns(t *testing.T) {
 	}
 }
 
-// TestCachedRunMatchesDirect: the memoized single-cell path returns
+// TestCachedRunMatchesDirect: the engine-backed cell path returns
 // the same report as a cold direct run, on the first call and on the
 // memo-served repeat.
 func TestCachedRunMatchesDirect(t *testing.T) {
@@ -59,12 +61,12 @@ func TestCachedRunMatchesDirect(t *testing.T) {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 2; pass++ {
-		got, err := cachedRun(opts, "dp-sr", app, 42)
+		got, err := runCells(opts, []engine.Cell{cell(cfg, app, 42)})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("cachedRun pass %d diverges from direct sim.RunWorkload", pass)
+		if !reflect.DeepEqual(got[0], want) {
+			t.Fatalf("runCells pass %d diverges from direct sim.RunWorkload", pass)
 		}
 	}
 }
@@ -83,18 +85,19 @@ func TestRunWorkloadNoStaleCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	app := opts.Apps[0]
-	base, err := runWorkload(opts, cfg, app, 1)
+	base, err := runCells(opts, []engine.Cell{cell(cfg, app, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	perturbed := app
 	perturbed.KernelShare += 0.2 // same Name, different content
-	got, err := runWorkload(opts, cfg, perturbed, 1)
+	reps, err := runCells(opts, []engine.Cell{cell(cfg, perturbed, 1)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reflect.DeepEqual(got, base) {
+	got := reps[0]
+	if reflect.DeepEqual(got, base[0]) {
 		t.Fatal("content-modified profile was served the stale report")
 	}
 	want, err := sim.RunWorkload(cfg, perturbed, 1, opts.Accesses)
@@ -156,5 +159,32 @@ func TestExperimentValuesEngineIndependent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(tbA, tbB) {
 		t.Fatal("E7 rendered tables depend on the engine")
+	}
+}
+
+// TestFanOutOrderAndContainment: custom-machine jobs come back in job
+// order however the workers interleave them, and a panicking job
+// becomes an error instead of crashing the process.
+func TestFanOutOrderAndContainment(t *testing.T) {
+	opts := QuickOptions()
+	opts.Engine = engine.New(engine.Config{Workers: 4})
+	got, err := fanOut(opts, "sq", 32, func(i int) (int, error) { return i * i, nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != i*i {
+			t.Fatalf("job %d returned %d, want %d", i, v, i*i)
+		}
+	}
+	_, err = fanOut(opts, "boom", 8, func(i int) (int, error) {
+		if i == 5 {
+			panic("job 5")
+		}
+		return i, nil
+	})
+	var re *runner.RunError
+	if !errors.As(err, &re) || !re.Panicked || re.Cell.Machine != "boom run 5" {
+		t.Fatalf("panicking job: err = %v, want a contained panic of run 5", err)
 	}
 }

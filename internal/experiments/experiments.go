@@ -62,16 +62,75 @@ func (o Options) eng() *engine.Engine {
 	return defaultEngine
 }
 
-// runWorkload is the engine-backed simulation entry every experiment
-// uses: identical results to sim.RunWorkload, minus the redundant
-// trace regeneration and re-simulation. The engine memo keys on a
+// cell labels one engine run of cfg on app. The engine memo keys on a
 // content hash of the machine config and profile, so experiments that
 // perturb a config or profile under an unchanged name always get a
 // fresh run.
-func runWorkload(opts Options, cfg config.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
-	return opts.eng().RunOneSampled(context.Background(), engine.Cell{
-		Machine: cfg.Name, Config: cfg, App: app.Name, Profile: app, Seed: seed,
-	}, opts.Accesses, 0, opts.Sample)
+func cell(cfg config.Machine, app workload.Profile, seed uint64) engine.Cell {
+	return engine.Cell{Machine: cfg.Name, Config: cfg, App: app.Name, Profile: app, Seed: seed}
+}
+
+// runCells is the engine-backed simulation entry every experiment
+// uses: all of an experiment's independent cells run as one plan on
+// the engine's bounded, panic-containing worker pool, sharing its trace
+// arena and run memo, and the reports come back in cell order. Each
+// cell is an independent cold-machine simulation, so the reports — and
+// anything an experiment aggregates from them in cell order — do not
+// depend on scheduling.
+func runCells(opts Options, cells []engine.Cell) ([]sim.RunReport, error) {
+	col := engine.NewCollector()
+	sum, err := opts.eng().Execute(context.Background(),
+		engine.Plan{Cells: cells, Accesses: opts.Accesses, Sample: opts.Sample}, engine.ExecOptions{}, col)
+	if err == nil && len(sum.Manifest.Failed) > 0 {
+		// A keep-going engine reports failures only in the manifest.
+		f := sum.Manifest.Failed[0]
+		return nil, fmt.Errorf("%s on %s: %s", f.App, f.Machine, f.Error)
+	}
+	if err != nil {
+		var re *runner.RunError
+		if errors.As(err, &re) {
+			return nil, fmt.Errorf("%s on %s: %w", re.Cell.App, re.Cell.Machine, re.Err)
+		}
+		return nil, err
+	}
+	reps := make([]sim.RunReport, len(cells))
+	for _, r := range col.Results {
+		reps[r.Index] = r.Report
+	}
+	return reps, nil
+}
+
+// fanOut runs n independent jobs that need more machine state than a
+// RunReport carries (so they cannot be engine cells) on the engine's
+// worker count, through the same runner pool the engine uses: panics
+// are contained, the first failure cancels the rest, and results come
+// back in job order.
+func fanOut[T any](opts Options, label string, n int, job func(i int) (T, error)) ([]T, error) {
+	cells := make([]runner.Cell, n)
+	for i := range cells {
+		cells[i] = runner.Cell{Machine: fmt.Sprintf("%s run %d", label, i)}
+	}
+	outs, err := runner.Run(context.Background(), runner.Config{Workers: opts.eng().Workers()}, cells,
+		func(_ context.Context, i int, _ runner.Cell) (T, error) { return job(i) })
+	if err != nil {
+		return nil, err
+	}
+	vals := make([]T, n)
+	for i, o := range outs {
+		vals[i] = o.Value
+	}
+	return vals, nil
+}
+
+// replayOn runs a custom-built machine over app's trace from the
+// engine's arena — the exact stream the engine's own cells replay — so
+// custom-machine runs never regenerate a trace the arena holds.
+func replayOn(opts Options, m *sim.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
+	tr, err := opts.eng().Store().GetTrace(app, seed, opts.Accesses)
+	if err != nil {
+		return sim.RunReport{}, err
+	}
+	return sim.RunTrace(m, app.Name, tr.Cursor(), 0), nil
 }
 
 // DefaultOptions is the full-size configuration cmd/mcbench uses.
@@ -199,28 +258,9 @@ func appSeed(base uint64, appIndex int) uint64 {
 	return base*1_000_003 + uint64(appIndex)*7919
 }
 
-// cachedRun runs a standard machine on an app through the engine. The
-// engine's bounded run memo makes repeats free: several experiments
-// (E7, E8, T2, T3) share the same (machine, app, seed, accesses)
-// cells, and since every run is deterministic, memoization is
-// transparent and cuts a full mcbench sweep substantially. Unlike the
-// old package-global cache this memo keys on the content hash
-// internal/checkpoint.KeyOf computes, so it can never serve a stale
-// report for modified inputs, and it is bounded.
-func cachedRun(opts Options, machineName string, app workload.Profile, seed uint64) (sim.RunReport, error) {
-	cfg, err := sim.MachineByName(machineName)
-	if err != nil {
-		return sim.RunReport{}, err
-	}
-	return runWorkload(opts, cfg, app, seed)
-}
-
-// matrix runs every app on every named standard machine through the
-// engine's bounded, panic-containing worker pool. Reports are keyed
-// [machine][app]. Results are deterministic regardless of scheduling:
-// each cell is an independent cold-machine simulation (memoized by
-// the engine) and the collector receives outcomes in cell order.
-func matrix(opts Options, machineNames []string) (map[string]map[string]sim.RunReport, error) {
+// matrixCells lists every app on every named standard machine,
+// machines outermost.
+func matrixCells(opts Options, machineNames []string) ([]engine.Cell, error) {
 	var cells []engine.Cell
 	for _, name := range machineNames {
 		cfg, err := sim.MachineByName(name)
@@ -228,23 +268,38 @@ func matrix(opts Options, machineNames []string) (map[string]map[string]sim.RunR
 			return nil, err
 		}
 		for i, app := range opts.Apps {
-			cells = append(cells, engine.Cell{
-				Machine: name, Config: cfg, App: app.Name, Profile: app, Seed: appSeed(opts.Seed, i),
-			})
+			cells = append(cells, cell(cfg, app, appSeed(opts.Seed, i)))
 		}
 	}
+	return cells, nil
+}
 
-	col := engine.NewCollector()
-	_, err := opts.eng().Execute(context.Background(),
-		engine.Plan{Cells: cells, Accesses: opts.Accesses, Sample: opts.Sample}, engine.ExecOptions{}, col)
-	if err != nil {
-		var re *runner.RunError
-		if errors.As(err, &re) {
-			return nil, fmt.Errorf("%s on %s: %w", re.Cell.App, re.Cell.Machine, re.Err)
+// byMachine keys reports by [machine][app].
+func byMachine(cells []engine.Cell, reps []sim.RunReport) map[string]map[string]sim.RunReport {
+	out := map[string]map[string]sim.RunReport{}
+	for i, c := range cells {
+		if out[c.Machine] == nil {
+			out[c.Machine] = map[string]sim.RunReport{}
 		}
+		out[c.Machine][c.App] = reps[i]
+	}
+	return out
+}
+
+// matrix runs every app on every named standard machine as one engine
+// plan. Reports are keyed [machine][app]. Several experiments (E7, E8,
+// T2, T3) share the same cells; the engine's memo makes the repeats
+// free.
+func matrix(opts Options, machineNames []string) (map[string]map[string]sim.RunReport, error) {
+	cells, err := matrixCells(opts, machineNames)
+	if err != nil {
 		return nil, err
 	}
-	return col.ByMachine, nil
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return nil, err
+	}
+	return byMachine(cells, reps), nil
 }
 
 // appNames lists the option's app names in order.

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"mobilecache/internal/config"
+	"mobilecache/internal/engine"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 )
@@ -55,17 +56,24 @@ func runE21(opts Options) (Result, error) {
 
 	tb := report.NewTable(fmt.Sprintf("E21: retention-fault sensitivity (app %s)", app.Name),
 		"machine", "fault BER", "L2 energy", "L2 missrate", "fault expiries", "dirty losses", "IPC")
+	var cells []engine.Cell
 	for _, name := range machines {
-		var baseE float64
 		for _, ber := range e21BERs {
 			cfg, err := faultedMachine(name, ber, opts.Seed*0x9e3779b9+7)
 			if err != nil {
 				return res, err
 			}
-			rep, err := runWorkload(opts, cfg, app, appSeed(opts.Seed, 0))
-			if err != nil {
-				return res, err
-			}
+			cells = append(cells, cell(cfg, app, appSeed(opts.Seed, 0)))
+		}
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	for i, name := range machines {
+		var baseE float64
+		for j, ber := range e21BERs {
+			rep := reps[i*len(e21BERs)+j]
 			tb.AddRow(name, fmt.Sprintf("%.0e", ber),
 				report.Joules(rep.L2EnergyJ()), report.Pct(rep.L2.MissRate()),
 				fmt.Sprint(rep.L2.FaultExpiries), fmt.Sprint(rep.L2.DirtyExpiries),

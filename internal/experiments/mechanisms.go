@@ -5,11 +5,10 @@ import (
 
 	"mobilecache/internal/core"
 	"mobilecache/internal/cpu"
+	"mobilecache/internal/engine"
 	"mobilecache/internal/mem"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
-	"mobilecache/internal/trace"
-	"mobilecache/internal/workload"
 )
 
 func init() {
@@ -74,60 +73,49 @@ func runE20(opts Options) (Result, error) {
 	var res Result
 	app := opts.Apps[0]
 
-	runOn := func(m *sim.Machine) (sim.RunReport, error) {
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
+	seed := appSeed(opts.Seed, 0)
+	var cells []engine.Cell
+	for _, name := range []string{"baseline-sram", "sp"} {
+		cfg, err := sim.MachineByName(name)
+		if err != nil {
+			return res, err
+		}
+		cells = append(cells, cell(cfg, app, seed))
+	}
+	std, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	base, spRep := std[0], std[1]
+
+	// Not engine cells: set and way partitioning are not expressible as
+	// a config.Machine, so these runs build their machines directly.
+	builds := []func() (*sim.Machine, error){
+		func() (*sim.Machine, error) { return buildSetPartMachine(640) }, // 640:384 of 1024 sets ~ 2:1
+		func() (*sim.Machine, error) { return buildWayPartMachine(10) },  // 10:6 of 16 ways ~ 2:1
+	}
+	custom, err := fanOut(opts, "E20", len(builds), func(i int) (sim.RunReport, error) {
+		m, err := builds[i]()
 		if err != nil {
 			return sim.RunReport{}, err
 		}
-		return sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0), nil
+		return replayOn(opts, m, app, seed)
+	})
+	if err != nil {
+		return res, err
 	}
+	setRep, wayRep := custom[0], custom[1]
 
-	type row struct {
+	rows := []struct {
 		name     string
 		capacity string
 		rep      sim.RunReport
+	}{
+		{"shared (baseline)", "1MB", base},
+		{"segments (paper SP)", "512KB+256KB", spRep},
+		{"set partition (coloring)", "640KB+384KB of 1MB", setRep},
+		{"way partition (frozen)", "10+6 of 16 ways", wayRep},
 	}
-	var rows []row
-
-	baseCfg, err := sim.MachineByName("baseline-sram")
-	if err != nil {
-		return res, err
-	}
-	base, err := runWorkload(opts, baseCfg, app, appSeed(opts.Seed, 0))
-	if err != nil {
-		return res, err
-	}
-	rows = append(rows, row{"shared (baseline)", "1MB", base})
-
-	spCfg, err := sim.MachineByName("sp")
-	if err != nil {
-		return res, err
-	}
-	spRep, err := runWorkload(opts, spCfg, app, appSeed(opts.Seed, 0))
-	if err != nil {
-		return res, err
-	}
-	rows = append(rows, row{"segments (paper SP)", "512KB+256KB", spRep})
-
-	setM, err := buildSetPartMachine(640) // 640:384 of 1024 sets ~ 2:1
-	if err != nil {
-		return res, err
-	}
-	setRep, err := runOn(setM)
-	if err != nil {
-		return res, err
-	}
-	rows = append(rows, row{"set partition (coloring)", "640KB+384KB of 1MB", setRep})
-
-	wayM, err := buildWayPartMachine(10) // 10:6 of 16 ways ~ 2:1
-	if err != nil {
-		return res, err
-	}
-	wayRep, err := runOn(wayM)
-	if err != nil {
-		return res, err
-	}
-	rows = append(rows, row{"way partition (frozen)", "10+6 of 16 ways", wayRep})
 
 	tb := report.NewTable(fmt.Sprintf("E20: isolation mechanisms on %s (all SRAM)", app.Name),
 		"mechanism", "capacity", "missrate", "interference", "IPC", "L2 energy")

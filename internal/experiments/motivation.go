@@ -7,10 +7,10 @@ import (
 	"mobilecache/internal/config"
 	"mobilecache/internal/core"
 	"mobilecache/internal/energy"
+	"mobilecache/internal/engine"
 	"mobilecache/internal/report"
 	"mobilecache/internal/sim"
 	"mobilecache/internal/trace"
-	"mobilecache/internal/workload"
 )
 
 func init() {
@@ -34,20 +34,25 @@ func runE1(opts Options) (Result, error) {
 	var res Result
 	tb := report.NewTable("E1: kernel share of L2 accesses (baseline 1MB SRAM L2)",
 		"app", "L2 accesses", "kernel share", "trace kernel share")
+	var cells []engine.Cell
+	for i, app := range opts.Apps {
+		cells = append(cells, cell(config.Default(), app, appSeed(opts.Seed, i)))
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
 	sum := 0.0
 	for i, app := range opts.Apps {
-		rep, err := runWorkload(opts, config.Default(), app, appSeed(opts.Seed, i))
-		if err != nil {
-			return res, err
-		}
+		rep := reps[i]
 		share := rep.L2.KernelShare()
 		sum += share
 		// Trace-level share for contrast (L1 filtering shifts it).
-		recs, err := workload.Generate(app, appSeed(opts.Seed, i), opts.Accesses)
+		tr, err := opts.eng().Store().GetTrace(app, appSeed(opts.Seed, i), opts.Accesses)
 		if err != nil {
 			return res, err
 		}
-		traceShare := trace.Summarize(trace.NewSliceSource(recs)).KernelShare()
+		traceShare := trace.Summarize(tr.Cursor()).KernelShare()
 		tb.AddRow(app.Name, fmt.Sprint(rep.L2.TotalAccesses()), report.Pct(share), report.Pct(traceShare))
 		res.addValue("l2_kernel_share_"+app.Name, share)
 	}
@@ -73,17 +78,18 @@ func runE2(opts Options) (Result, error) {
 
 	tb := report.NewTable("E2: interference in the shared L2 (1MB shared vs 512KB+512KB isolated)",
 		"app", "shared missrate", "isolated missrate", "interference evictions", "per 1k accesses")
-	var missDeltaSum, interfSum float64
+	var cells []engine.Cell
 	for i, app := range opts.Apps {
 		seed := appSeed(opts.Seed, i)
-		shared, err := runWorkload(opts, config.Default(), app, seed)
-		if err != nil {
-			return res, err
-		}
-		isolated, err := runWorkload(opts, iso, app, seed)
-		if err != nil {
-			return res, err
-		}
+		cells = append(cells, cell(config.Default(), app, seed), cell(iso, app, seed))
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	var missDeltaSum, interfSum float64
+	for i, app := range opts.Apps {
+		shared, isolated := reps[2*i], reps[2*i+1]
 		per1k := float64(shared.L2.InterferenceEvictions) / float64(shared.L2.TotalAccesses()) * 1000
 		tb.AddRow(app.Name,
 			report.Pct(shared.L2.MissRate()),
@@ -108,18 +114,17 @@ func runE3(opts Options) (Result, error) {
 	var res Result
 	app := opts.Apps[0]
 
-	// Capture the L2-level stream from a baseline run.
+	// Capture the L2-level stream from a baseline run. Not an engine
+	// cell: it needs the L2 tap, which a RunReport does not carry.
 	m, err := sim.Build(config.Default())
 	if err != nil {
 		return res, err
 	}
 	var l2stream []trace.Access
 	m.Hier.L2Tap = func(a trace.Access) { l2stream = append(l2stream, a) }
-	gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-	if err != nil {
+	if _, err := replayOn(opts, m, app, appSeed(opts.Seed, 0)); err != nil {
 		return res, err
 	}
-	sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 
 	baseline := core.SegmentConfig{Name: "base", SizeBytes: 1024 * 1024, Ways: 16, BlockBytes: 64, Policy: cache.LRU}
 	candidates := []uint64{64 * 1024, 128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024}
@@ -176,50 +181,65 @@ func runE4(opts Options) (Result, error) {
 
 	tb := report.NewTable("E4: block lifetime and write-interval behaviour per segment",
 		"app", "segment", "mean lifetime (cyc)", "P[life<short-ret]", "P[life<ms-ret]", "P[life<med-ret]", "mean write gap (cyc)")
-	var userBelowMed, kernelBelowShort, kernelBelowMs, userBelowMs float64
-	var userGap, kernelGap, userLife, kernelLife float64
-	for i, app := range opts.Apps {
+	// One row per segment: its lifetime CDF points and mean write gap.
+	type segRow struct {
+		mean, belowShort, belowMs, belowMed, gap float64
+	}
+	domains := []trace.Domain{trace.User, trace.Kernel}
+	// Not engine cells: each run reads the segment caches' lifetime and
+	// write-interval histograms, which a RunReport does not carry.
+	perApp, err := fanOut(opts, "E4", len(opts.Apps), func(i int) ([]segRow, error) {
 		m, err := sim.Build(spCfg)
 		if err != nil {
-			return res, err
+			return nil, err
 		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, i), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
-			return res, err
+		if _, err := replayOn(opts, m, opts.Apps[i], appSeed(opts.Seed, i)); err != nil {
+			return nil, err
 		}
-		sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
 		runCycles := float64(m.CPU.Now())
-		for _, d := range []trace.Domain{trace.User, trace.Kernel} {
+		rows := make([]segRow, len(domains))
+		for j, d := range domains {
 			cs := m.Static.SegmentCache(d).Stats()
 			lt := cs.Lifetimes[d]
-			wi := cs.WriteIntervals[d]
 			// A segment with no evictions means every block outlived
 			// the run: treat its lifetime as the whole run (a lower
 			// bound) and its sub-retention CDFs per the run length.
-			mean := lt.Mean()
-			belowShort, belowMs, belowMed := lt.CDFBelow(shortExp), lt.CDFBelow(msExp), lt.CDFBelow(medExp)
+			r := segRow{mean: lt.Mean(), belowShort: lt.CDFBelow(shortExp), belowMs: lt.CDFBelow(msExp),
+				belowMed: lt.CDFBelow(medExp), gap: cs.WriteIntervals[d].Mean()}
 			if lt.Total == 0 {
-				mean = runCycles
-				belowShort = boolToFrac(runCycles < float64(shortRet))
-				belowMs = boolToFrac(runCycles < float64(msRet))
-				belowMed = boolToFrac(runCycles < float64(medRet))
+				r.mean = runCycles
+				r.belowShort = boolToFrac(runCycles < float64(shortRet))
+				r.belowMs = boolToFrac(runCycles < float64(msRet))
+				r.belowMed = boolToFrac(runCycles < float64(medRet))
 			}
+			rows[j] = r
+		}
+		return rows, nil
+	})
+	if err != nil {
+		return res, err
+	}
+	var userBelowMed, kernelBelowShort, kernelBelowMs, userBelowMs float64
+	var userGap, kernelGap, userLife, kernelLife float64
+	for i, app := range opts.Apps {
+		for j, d := range domains {
+			r := perApp[i][j]
 			tb.AddRow(app.Name, d.String(),
-				fmt.Sprintf("%.0f", mean),
-				report.Pct(belowShort),
-				report.Pct(belowMs),
-				report.Pct(belowMed),
-				fmt.Sprintf("%.0f", wi.Mean()))
+				fmt.Sprintf("%.0f", r.mean),
+				report.Pct(r.belowShort),
+				report.Pct(r.belowMs),
+				report.Pct(r.belowMed),
+				fmt.Sprintf("%.0f", r.gap))
 			if d == trace.User {
-				userBelowMed += belowMed
-				userBelowMs += belowMs
-				userGap += wi.Mean()
-				userLife += mean
+				userBelowMed += r.belowMed
+				userBelowMs += r.belowMs
+				userGap += r.gap
+				userLife += r.mean
 			} else {
-				kernelBelowShort += belowShort
-				kernelBelowMs += belowMs
-				kernelGap += wi.Mean()
-				kernelLife += mean
+				kernelBelowShort += r.belowShort
+				kernelBelowMs += r.belowMs
+				kernelGap += r.gap
+				kernelLife += r.mean
 			}
 		}
 	}
@@ -243,13 +263,6 @@ func boolToFrac(b bool) float64 {
 		return 1
 	}
 	return 0
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func log2ceil(x uint64) int {

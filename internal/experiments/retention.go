@@ -53,6 +53,28 @@ func buildStaticWithKernel(params *energy.Params, refresh sttram.RefreshPolicy) 
 	return &sim.Machine{CPU: c, Hier: hier, L2: sp, DRAM: dram, Static: sp}, nil
 }
 
+// kernelRun is one SP run with a modified kernel segment: the
+// segment's energy and stats plus the whole-run report.
+type kernelRun struct {
+	energy energy.Breakdown
+	stats  core.L2Stats
+	rep    sim.RunReport
+}
+
+// runKernelVariant replays app's arena trace on the SP geometry with
+// the kernel segment's parameters and refresh policy overridden.
+func runKernelVariant(opts Options, app workload.Profile, params *energy.Params, refresh sttram.RefreshPolicy) (kernelRun, error) {
+	m, err := buildStaticWithKernel(params, refresh)
+	if err != nil {
+		return kernelRun{}, err
+	}
+	rep, err := replayOn(opts, m, app, appSeed(opts.Seed, 0))
+	if err != nil {
+		return kernelRun{}, err
+	}
+	return kernelRun{energy: m.Static.SegmentEnergy(trace.Kernel), stats: m.Static.SegmentStats(trace.Kernel), rep: rep}, nil
+}
+
 // runE10 sweeps the kernel segment's retention target across six
 // decades and reports where its energy bottoms out.
 func runE10(opts Options) (Result, error) {
@@ -62,25 +84,24 @@ func runE10(opts Options) (Result, error) {
 
 	tb := report.NewTable(fmt.Sprintf("E10: kernel-segment energy vs retention target (app %s)", app.Name),
 		"retention", "write (pJ)", "kernel energy", "refresh energy", "refreshes", "expiries", "IPC")
+	// Not engine cells: each run reads the kernel segment's own energy
+	// and stats, which a RunReport does not carry.
+	runs, err := fanOut(opts, "E10", len(retentions), func(i int) (kernelRun, error) {
+		params := energy.ParamsForRetention(retentions[i])
+		return runKernelVariant(opts, app, &params, sttram.DirtyOnly)
+	})
+	if err != nil {
+		return res, err
+	}
 	bestRet, bestE := 0.0, -1.0
-	for _, ret := range retentions {
-		params := energy.ParamsForRetention(ret)
-		m, err := buildStaticWithKernel(&params, sttram.DirtyOnly)
-		if err != nil {
-			return res, err
-		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
-			return res, err
-		}
-		rep := sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
-		kb := m.Static.SegmentEnergy(trace.Kernel)
-		ks := m.Static.SegmentStats(trace.Kernel)
+	for i, ret := range retentions {
+		r := runs[i]
+		kb, ks := r.energy, r.stats
 		tb.AddRow(fmt.Sprintf("%.3gs", ret),
-			fmt.Sprintf("%.0f", params.WritePJ),
+			fmt.Sprintf("%.0f", energy.ParamsForRetention(ret).WritePJ),
 			report.Joules(kb.Total()), report.Joules(kb.RefreshJ),
 			fmt.Sprint(ks.Refreshes), fmt.Sprint(ks.CleanExpiries+ks.ExpiryInvalidations),
-			fmt.Sprintf("%.4f", rep.IPC()))
+			fmt.Sprintf("%.4f", r.rep.IPC()))
 		res.addValue(fmt.Sprintf("kernel_energy_ret%.3g", ret), kb.Total())
 		if bestE < 0 || kb.Total() < bestE {
 			bestE, bestRet = kb.Total(), ret
@@ -99,18 +120,16 @@ func runE11(opts Options) (Result, error) {
 	app := opts.Apps[0]
 	tb := report.NewTable(fmt.Sprintf("E11: refresh policy ablation, short-retention kernel segment (app %s)", app.Name),
 		"policy", "kernel energy", "refresh energy", "refreshes", "eager wbs", "expiries", "kernel missrate", "dirty losses")
-	for _, pol := range []sttram.RefreshPolicy{sttram.PeriodicAll, sttram.DirtyOnly, sttram.EagerWriteback} {
-		m, err := buildStaticWithKernel(nil, pol)
-		if err != nil {
-			return res, err
-		}
-		gen, err := workload.NewGenerator(app, appSeed(opts.Seed, 0), uint64(opts.Accesses/maxInt(app.Phases, 1)))
-		if err != nil {
-			return res, err
-		}
-		sim.RunTrace(m, app.Name, trace.NewLimitSource(gen, opts.Accesses), 0)
-		kb := m.Static.SegmentEnergy(trace.Kernel)
-		ks := m.Static.SegmentStats(trace.Kernel)
+	policies := []sttram.RefreshPolicy{sttram.PeriodicAll, sttram.DirtyOnly, sttram.EagerWriteback}
+	// Not engine cells: see runE10.
+	runs, err := fanOut(opts, "E11", len(policies), func(i int) (kernelRun, error) {
+		return runKernelVariant(opts, app, nil, policies[i])
+	})
+	if err != nil {
+		return res, err
+	}
+	for i, pol := range policies {
+		kb, ks := runs[i].energy, runs[i].stats
 		tb.AddRow(pol.String(),
 			report.Joules(kb.Total()), report.Joules(kb.RefreshJ),
 			fmt.Sprint(ks.Refreshes), fmt.Sprint(ks.EagerWritebacks),

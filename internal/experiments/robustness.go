@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"mobilecache/internal/engine"
 	"mobilecache/internal/report"
 	"mobilecache/internal/stats"
 )
@@ -25,16 +26,27 @@ func runT3(opts Options) (Result, error) {
 		byScheme[s] = &agg{}
 	}
 
+	// Every seed's matrix runs in one engine plan.
+	var cells []engine.Cell
 	for _, seed := range seeds {
 		sub := opts
 		sub.Seed = seed
-		mx, err := matrix(sub, allSchemes)
+		c, err := matrixCells(sub, allSchemes)
 		if err != nil {
 			return res, err
 		}
+		cells = append(cells, c...)
+	}
+	reps, err := runCells(opts, cells)
+	if err != nil {
+		return res, err
+	}
+	per := len(cells) / len(seeds)
+	for k := range seeds {
+		mx := byMachine(cells[k*per:(k+1)*per], reps[k*per:(k+1)*per])
 		for _, scheme := range proposedSchemes {
 			var normE, normI []float64
-			for _, app := range appNames(sub) {
+			for _, app := range appNames(opts) {
 				base := mx["baseline-sram"][app]
 				rep := mx[scheme][app]
 				normE = append(normE, rep.L2EnergyJ()/base.L2EnergyJ())

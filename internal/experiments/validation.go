@@ -5,7 +5,6 @@ import (
 
 	"mobilecache/internal/report"
 	"mobilecache/internal/trace"
-	"mobilecache/internal/workload"
 )
 
 func init() {
@@ -21,13 +20,21 @@ func runE19(opts Options) (Result, error) {
 	tb := report.NewTable("E19: per-domain reuse fingerprints of the generated traces",
 		"app", "domain", "accesses", "footprint", "est hitrate @256KB", "@512KB", "@1MB")
 	blocks := func(bytes uint64) uint64 { return bytes / 64 }
+	// The analysis reads the arena's copy of each app's trace, one app
+	// per worker.
+	analyses, err := fanOut(opts, "E19", len(opts.Apps), func(i int) (*trace.ReuseAnalyzer, error) {
+		tr, err := opts.eng().Store().GetTrace(opts.Apps[i], appSeed(opts.Seed, i), opts.Accesses)
+		if err != nil {
+			return nil, err
+		}
+		return trace.Analyze(tr.Cursor(), 64), nil
+	})
+	if err != nil {
+		return res, err
+	}
 	var userFPsum, kernelFPsum float64
 	for i, app := range opts.Apps {
-		recs, err := workload.Generate(app, appSeed(opts.Seed, i), opts.Accesses)
-		if err != nil {
-			return res, err
-		}
-		ra := trace.Analyze(trace.NewSliceSource(recs), 64)
+		ra := analyses[i]
 		for _, d := range []trace.Domain{trace.User, trace.Kernel} {
 			st := ra.Stats(d)
 			fp := st.DistinctBlocks * 64

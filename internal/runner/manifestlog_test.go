@@ -33,7 +33,7 @@ func TestOnFailureFiresIncrementally(t *testing.T) {
 		seen = append(seen, e.Cell.Seed)
 		mu.Unlock()
 	}}
-	outcomes, err := Run(context.Background(), cfg, cells, func(ctx context.Context, c Cell) (int, error) {
+	outcomes, err := Run(context.Background(), cfg, cells, func(ctx context.Context, _ int, c Cell) (int, error) {
 		if c.Seed%2 == 1 {
 			return 0, fmt.Errorf("boom %d", c.Seed)
 		}
@@ -62,7 +62,7 @@ func TestManifestLoggerIncrementalThenFinal(t *testing.T) {
 		{Machine: "dp-sr", App: "browser", Seed: 2},
 	}
 	cfg := Config{Workers: 1, KeepGoing: true, OnFailure: lg.Record}
-	outcomes, err := Run(context.Background(), cfg, cells, func(ctx context.Context, c Cell) (int, error) {
+	outcomes, err := Run(context.Background(), cfg, cells, func(ctx context.Context, _ int, c Cell) (int, error) {
 		if c.Seed == 2 {
 			return 0, &auditErr{vs: []string{"l2.conservation.user: hits 3 + misses 1 != accesses 5"}}
 		}

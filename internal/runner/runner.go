@@ -125,9 +125,11 @@ type Config struct {
 	Gate Gate
 }
 
-// Func computes one cell. It must respect ctx for prompt cancellation;
-// panics are recovered and contained by the pool.
-type Func[T any] func(ctx context.Context, c Cell) (T, error)
+// Func computes one cell. i is the cell's position in the input slice —
+// its identity, since several cells may carry the same label. It must
+// respect ctx for prompt cancellation; panics are recovered and
+// contained by the pool.
+type Func[T any] func(ctx context.Context, i int, c Cell) (T, error)
 
 // Outcome is one cell's result: either Value, or a non-nil Err.
 type Outcome[T any] struct {
@@ -170,7 +172,7 @@ func Run[T any](ctx context.Context, cfg Config, cells []Cell, fn Func[T]) ([]Ou
 		go func() {
 			defer wg.Done()
 			for i := range idxCh {
-				outcomes[i] = runGated(runCtx, cfg, cells[i], fn)
+				outcomes[i] = runGated(runCtx, cfg, i, cells[i], fn)
 				if outcomes[i].Err != nil {
 					if cfg.OnFailure != nil {
 						cfg.OnFailure(outcomes[i].Err)
@@ -226,18 +228,18 @@ feed:
 // outcome. A cancellation while waiting for a slot becomes an ordinary
 // cancellation outcome, so callers see the cell as lost to the
 // shutdown rather than mysteriously absent.
-func runGated[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome[T] {
+func runGated[T any](ctx context.Context, cfg Config, i int, c Cell, fn Func[T]) Outcome[T] {
 	if cfg.Gate != nil {
 		if err := cfg.Gate.Acquire(ctx); err != nil {
 			return Outcome[T]{Cell: c, Err: &RunError{Cell: c, Err: err}}
 		}
 		defer cfg.Gate.Release()
 	}
-	return runCell(ctx, cfg, c, fn)
+	return runCell(ctx, cfg, i, c, fn)
 }
 
 // runCell drives one cell through its attempts.
-func runCell[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome[T] {
+func runCell[T any](ctx context.Context, cfg Config, i int, c Cell, fn Func[T]) Outcome[T] {
 	out := Outcome[T]{Cell: c}
 	backoff := cfg.Backoff
 	if backoff <= 0 {
@@ -248,7 +250,7 @@ func runCell[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome
 			out.Err = &RunError{Cell: c, Attempts: attempt - 1, Err: err}
 			return out
 		}
-		v, err, panicked, stack := runAttempt(ctx, cfg.Timeout, c, fn)
+		v, err, panicked, stack := runAttempt(ctx, cfg.Timeout, i, c, fn)
 		if err == nil {
 			out.Value = v
 			return out
@@ -273,7 +275,7 @@ func runCell[T any](ctx context.Context, cfg Config, c Cell, fn Func[T]) Outcome
 // cancellation can abandon a function that ignores its context; the
 // abandoned goroutine finishes whenever fn returns and its result is
 // discarded (the result channel is buffered, so it never blocks).
-func runAttempt[T any](ctx context.Context, timeout time.Duration, c Cell, fn Func[T]) (v T, err error, panicked bool, stack string) {
+func runAttempt[T any](ctx context.Context, timeout time.Duration, i int, c Cell, fn Func[T]) (v T, err error, panicked bool, stack string) {
 	actx := ctx
 	if timeout > 0 {
 		var cancel context.CancelFunc
@@ -297,7 +299,7 @@ func runAttempt[T any](ctx context.Context, timeout time.Duration, c Cell, fn Fu
 				}
 			}
 		}()
-		v, err := fn(actx, c)
+		v, err := fn(actx, i, c)
 		ch <- attemptResult{v: v, err: err}
 	}()
 	select {

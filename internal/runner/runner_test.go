@@ -25,7 +25,7 @@ func cellsN(n int) []Cell {
 func TestRunOrderedResults(t *testing.T) {
 	cells := cellsN(20)
 	outcomes, err := Run(context.Background(), Config{Workers: 7}, cells,
-		func(_ context.Context, c Cell) (uint64, error) { return c.Seed * 10, nil })
+		func(_ context.Context, _ int, c Cell) (uint64, error) { return c.Seed * 10, nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestPanicContainment(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cells := cellsN(12)
 			outcomes, err := Run(context.Background(), Config{Workers: 4, KeepGoing: true}, cells,
-				func(_ context.Context, c Cell) (int, error) {
+				func(_ context.Context, _ int, c Cell) (int, error) {
 					tc.fail(c)
 					if !tc.panicked && c.Seed == 5 {
 						return 0, errors.New("boom")
@@ -102,7 +102,7 @@ func TestFirstFailureCancelsWithoutKeepGoing(t *testing.T) {
 	cells := cellsN(40)
 	var ran atomic.Int64
 	outcomes, err := Run(context.Background(), Config{Workers: 2}, cells,
-		func(ctx context.Context, c Cell) (int, error) {
+		func(ctx context.Context, _ int, c Cell) (int, error) {
 			ran.Add(1)
 			if c.Seed == 1 {
 				return 0, errors.New("hard failure")
@@ -142,7 +142,7 @@ func TestCancellationDrainsPool(t *testing.T) {
 	go func() {
 		defer close(done)
 		_, err := Run(ctx, Config{Workers: 4}, cellsN(64),
-			func(ctx context.Context, c Cell) (int, error) {
+			func(ctx context.Context, _ int, c Cell) (int, error) {
 				select {
 				case started <- struct{}{}:
 				default:
@@ -175,7 +175,7 @@ func TestCancellationDrainsPool(t *testing.T) {
 func TestPerCellTimeout(t *testing.T) {
 	cells := cellsN(3)
 	outcomes, err := Run(context.Background(), Config{Workers: 3, Timeout: 20 * time.Millisecond, KeepGoing: true}, cells,
-		func(ctx context.Context, c Cell) (int, error) {
+		func(ctx context.Context, _ int, c Cell) (int, error) {
 			if c.Seed == 2 {
 				select {
 				case <-ctx.Done():
@@ -199,7 +199,7 @@ func TestPerCellTimeout(t *testing.T) {
 func TestTransientRetrySucceeds(t *testing.T) {
 	var calls atomic.Int64
 	outcomes, err := Run(context.Background(), Config{Workers: 1, Retries: 3, Backoff: time.Millisecond}, cellsN(1),
-		func(_ context.Context, c Cell) (string, error) {
+		func(_ context.Context, _ int, c Cell) (string, error) {
 			if calls.Add(1) < 3 {
 				return "", Transient(errors.New("flaky"))
 			}
@@ -217,7 +217,7 @@ func TestRetryExhaustionAndPermanentErrors(t *testing.T) {
 	var transientCalls, permanentCalls atomic.Int64
 	cells := []Cell{{Machine: "transient"}, {Machine: "permanent"}}
 	outcomes, err := Run(context.Background(), Config{Workers: 2, Retries: 2, Backoff: time.Millisecond, KeepGoing: true}, cells,
-		func(_ context.Context, c Cell) (int, error) {
+		func(_ context.Context, _ int, c Cell) (int, error) {
 			if c.Machine == "transient" {
 				transientCalls.Add(1)
 				return 0, Transient(errors.New("always flaky"))
@@ -246,7 +246,7 @@ func TestRetryExhaustionAndPermanentErrors(t *testing.T) {
 // (and manifests) regardless of worker count — ordered collection makes
 // parallelism invisible.
 func TestDeterministicOutcomesAcrossWorkerCounts(t *testing.T) {
-	fn := func(_ context.Context, c Cell) (string, error) {
+	fn := func(_ context.Context, _ int, c Cell) (string, error) {
 		if c.Seed%4 == 3 {
 			return "", fmt.Errorf("injected failure for %s", c)
 		}
@@ -312,7 +312,7 @@ func TestManifestContents(t *testing.T) {
 
 func TestEmptyCellsAndWorkerClamp(t *testing.T) {
 	outcomes, err := Run(context.Background(), Config{Workers: 99}, nil,
-		func(_ context.Context, c Cell) (int, error) { return 0, nil })
+		func(_ context.Context, _ int, c Cell) (int, error) { return 0, nil })
 	if err != nil || len(outcomes) != 0 {
 		t.Fatalf("empty run: %v, %d outcomes", err, len(outcomes))
 	}
@@ -354,7 +354,7 @@ func TestGateBoundsConcurrency(t *testing.T) {
 	gate := newChanGate(2)
 	cells := cellsN(24)
 	outcomes, err := Run(context.Background(), Config{Workers: 8, KeepGoing: true, Gate: gate}, cells,
-		func(_ context.Context, c Cell) (int, error) {
+		func(_ context.Context, _ int, c Cell) (int, error) {
 			time.Sleep(time.Millisecond)
 			if c.Seed == 7 {
 				panic("gated chaos")
@@ -393,7 +393,7 @@ func TestGateAcquireHonorsCancellation(t *testing.T) {
 	go func() {
 		defer close(done)
 		outcomes, _ = Run(ctx, Config{Workers: 4, KeepGoing: true, Gate: gate}, cellsN(8),
-			func(ctx context.Context, c Cell) (int, error) {
+			func(ctx context.Context, _ int, c Cell) (int, error) {
 				started.Add(1)
 				<-release
 				return 0, nil

@@ -296,7 +296,7 @@ func (s *Store) GetTrace(prof workload.Profile, seed uint64, accesses int) (Trac
 		if hook := s.generateHook(); hook != nil {
 			hook(key)
 		}
-		p, recs, err := generate(prof, seed, key)
+		p, recs, err := generate(prof, seed, accesses)
 		return p, recs, nil, err
 	})
 }
@@ -388,22 +388,14 @@ func (s *Store) getOrBuildMeta(key Key, build func() (*trace.Packed, []trace.Acc
 	return Trace{Packed: packed, Records: recs}, meta, nil
 }
 
-// generate runs the workload generator for exactly the stream
-// sim.RunWorkload would replay, materializing the records and packing
-// them. Both forms come from the same generator pass, so they are
-// identical by construction.
-func generate(prof workload.Profile, seed uint64, key Key) (*trace.Packed, []trace.Access, error) {
-	gen, err := workload.NewGenerator(prof, seed, key.PhaseLen)
+// generate materializes exactly the stream sim.RunWorkload would
+// replay (workload.Generate applies the same PhaseLen rule as KeyFor)
+// and packs it. Both forms come from the same generator pass, so they
+// are identical by construction.
+func generate(prof workload.Profile, seed uint64, accesses int) (*trace.Packed, []trace.Access, error) {
+	recs, err := workload.Generate(prof, seed, accesses)
 	if err != nil {
 		return nil, nil, err
-	}
-	recs := make([]trace.Access, 0, key.Accesses)
-	for len(recs) < key.Accesses {
-		a, ok := gen.Next()
-		if !ok {
-			break
-		}
-		recs = append(recs, a)
 	}
 	return trace.PackSlice(recs), recs, nil
 }

@@ -55,6 +55,46 @@ func TestGetMatchesGenerator(t *testing.T) {
 	}
 }
 
+// TestGenerateMatchesArena: workload.Generate, the arena's hot and
+// packed forms and sim.RunWorkload's generator stream agree record for
+// record on every profile, including traces shorter than the profile's
+// phase count.
+func TestGenerateMatchesArena(t *testing.T) {
+	s := New(0)
+	for _, prof := range workload.Profiles() {
+		for _, n := range []int{1, prof.Phases - 1, 5_000} {
+			if n <= 0 {
+				continue
+			}
+			recs, err := workload.Generate(prof, 5, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := s.GetTrace(prof, 5, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			gen, err := workload.NewGenerator(prof, 5, workload.PhaseLen(prof, n))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := trace.Collect(trace.NewLimitSource(gen, n), n)
+			cur := tr.Packed.Cursor()
+			if len(recs) != n || len(tr.Records) != n || len(want) != n || cur.Len() != n {
+				t.Fatalf("%s n=%d: lengths generate=%d hot=%d generator=%d packed=%d",
+					prof.Name, n, len(recs), len(tr.Records), len(want), cur.Len())
+			}
+			for i, w := range want {
+				p, _ := cur.Next()
+				if recs[i] != w || tr.Records[i] != w || p != w {
+					t.Fatalf("%s n=%d record %d: generate %+v hot %+v packed %+v, generator %+v",
+						prof.Name, n, i, recs[i], tr.Records[i], p, w)
+				}
+			}
+		}
+	}
+}
+
 func TestHitMissStats(t *testing.T) {
 	prof := testProfile("app")
 	s := New(0)

@@ -151,6 +151,9 @@ type Generator struct {
 
 	user   domainState
 	kernel domainState
+
+	// Burst-length and gap samplers, built once from the profile.
+	userBurst, kernelBurst, gapGeom Geom
 }
 
 // domainState holds the per-domain address machinery.
@@ -171,8 +174,13 @@ func NewGenerator(prof Profile, seed uint64, phaseLen uint64) (*Generator, error
 	if err := prof.Validate(); err != nil {
 		return nil, err
 	}
-	g := &Generator{prof: prof, rng: NewRNG(seed), length: phaseLen, inBurst: trace.User}
-	g.left = g.rng.Geometric(prof.UserBurstMean)
+	g := &Generator{
+		prof: prof, rng: NewRNG(seed), length: phaseLen, inBurst: trace.User,
+		userBurst:   NewGeom(prof.UserBurstMean),
+		kernelBurst: NewGeom(prof.kernelBurstMean()),
+		gapGeom:     NewGeom(prof.GapMean),
+	}
+	g.left = g.userBurst.Sample(g.rng)
 
 	userBlocks := int(prof.UserWorkingSet / BlockBytes)
 	kernelBlocks := int(prof.KernelWorkingSet / BlockBytes)
@@ -212,10 +220,10 @@ func (g *Generator) Next() (trace.Access, bool) {
 	if g.left <= 0 {
 		if g.inBurst == trace.User && g.prof.KernelShare > 0 {
 			g.inBurst = trace.Kernel
-			g.left = g.rng.Geometric(g.prof.kernelBurstMean())
+			g.left = g.kernelBurst.Sample(g.rng)
 		} else {
 			g.inBurst = trace.User
-			g.left = g.rng.Geometric(g.prof.UserBurstMean)
+			g.left = g.userBurst.Sample(g.rng)
 		}
 	}
 	g.left--
@@ -288,7 +296,7 @@ func (g *Generator) gap() uint32 {
 	if g.prof.GapMean <= 0 {
 		return 0
 	}
-	return uint32(g.rng.Geometric(g.prof.GapMean) - 1)
+	return uint32(g.gapGeom.Sample(g.rng) - 1)
 }
 
 // PhaseLen derives the per-phase access count a full-trace run of n
@@ -304,20 +312,18 @@ func PhaseLen(p Profile, n int) uint64 {
 }
 
 // Generate materializes n accesses of prof, splitting the trace into
-// prof.Phases equal macro phases.
+// prof.Phases equal macro phases by PhaseLen — exactly the stream the
+// trace store caches and sim.RunWorkload replays for the same inputs.
 func Generate(prof Profile, seed uint64, n int) ([]trace.Access, error) {
-	phaseLen := uint64(0)
-	if prof.Phases > 1 && n > 0 {
-		phaseLen = uint64(n / prof.Phases)
-		if phaseLen == 0 {
-			phaseLen = 1
-		}
-	}
-	g, err := NewGenerator(prof, seed, phaseLen)
+	g, err := NewGenerator(prof, seed, PhaseLen(prof, n))
 	if err != nil {
 		return nil, err
 	}
-	return trace.Collect(trace.NewLimitSource(g, n), n), nil
+	recs := make([]trace.Access, max(n, 0))
+	for i := range recs {
+		recs[i], _ = g.Next()
+	}
+	return recs, nil
 }
 
 // PhasedSource plays several sources back to back, n accesses each.

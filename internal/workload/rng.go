@@ -60,13 +60,34 @@ func (r *RNG) Bool(p float64) bool {
 // Geometric returns a sample from a geometric distribution with mean
 // approximately mean (support {1, 2, ...}).
 func (r *RNG) Geometric(mean float64) int {
+	return NewGeom(mean).Sample(r)
+}
+
+// Geom samples a geometric distribution of one fixed mean. It is
+// Geometric with the log of the failure probability computed once
+// instead of per draw; both produce identical samples.
+type Geom struct {
+	degenerate bool    // mean <= 1: every draw is 1
+	logQ       float64 // log(1 - 1/mean)
+}
+
+// NewGeom builds a sampler with mean approximately mean.
+func NewGeom(mean float64) Geom {
 	if mean <= 1 {
-		return 1
+		return Geom{degenerate: true}
 	}
 	p := 1 / mean
+	return Geom{logQ: math.Log(1 - p)}
+}
+
+// Sample draws one value from r.
+func (g Geom) Sample(r *RNG) int {
+	if g.degenerate {
+		return 1
+	}
 	u := r.Float64()
 	// Inverse CDF of the geometric distribution.
-	k := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
+	k := int(math.Ceil(math.Log(1-u) / g.logQ))
 	if k < 1 {
 		k = 1
 	}
@@ -86,6 +107,10 @@ type Zipf struct {
 	n    int
 	s    float64
 	hInt float64 // generalized harmonic normalizer H(n, s)
+	// oneMinusS and invOneMinusS are 1-s and 1/(1-s), hoisted out of
+	// Sample's inverse CDF.
+	oneMinusS    float64
+	invOneMinusS float64
 }
 
 // NewZipf builds a zipfian sampler over n items with skew s (s=0 is
@@ -98,7 +123,7 @@ func NewZipf(n int, s float64) *Zipf {
 	if s < 0 {
 		panic("workload: Zipf with negative skew")
 	}
-	z := &Zipf{n: n, s: s}
+	z := &Zipf{n: n, s: s, oneMinusS: 1 - s, invOneMinusS: 1 / (1 - s)}
 	z.hInt = harmonic(n, s)
 	return z
 }
@@ -133,7 +158,7 @@ func (z *Zipf) Sample(r *RNG) int {
 	if z.s == 1 {
 		k = math.Exp(u) - 1
 	} else {
-		k = math.Pow(u*(1-z.s)+1, 1/(1-z.s)) - 1
+		k = math.Pow(u*z.oneMinusS+1, z.invOneMinusS) - 1
 	}
 	i := int(k)
 	if i < 0 {

@@ -96,7 +96,7 @@ func runMatrixRegen(tb testing.TB, apps []workload.Profile, accesses int) time.D
 	}
 	start := time.Now()
 	_, err := runner.Run(context.Background(), runner.Config{Workers: 4}, matrixCells(apps),
-		func(_ context.Context, c runner.Cell) (sim.RunReport, error) {
+		func(_ context.Context, _ int, c runner.Cell) (sim.RunReport, error) {
 			cfg, err := sim.MachineByName(c.Machine)
 			if err != nil {
 				return sim.RunReport{}, err
