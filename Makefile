@@ -11,10 +11,11 @@ test:
 # check is the pre-commit gate: gofmt cleanliness, vet, the full test
 # suite, a race-enabled short pass (the engine/runner/chaos tests are
 # where races would hide, and the paper-suite golden test, whose
-# experiments run their cells and custom machines concurrently), fuzz smokes over the crash-recovery scanner
-# and the invariant auditor, the golden-audit gate (the quick
-# experiment matrix must be conservation-clean under strict audit) and
-# the sampling validation gate (1/8 set sampling within 2% on every
+# experiments run their cells and custom machines concurrently), fuzz
+# smokes over the crash-recovery scanner, the invariant auditor and
+# the reuse analyzer, the golden-audit gate (the quick experiment
+# matrix must be conservation-clean under strict audit) and the
+# sampling validation gate (1/8 set sampling within 2% on every
 # standard machine).
 check:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
@@ -26,6 +27,7 @@ check:
 	$(GO) test -race -count=1 -run TestSuiteGolden ./internal/experiments/
 	$(GO) test -run '^$$' -fuzz FuzzJournalDecode -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz FuzzAuditReport -fuzztime 5s ./internal/invariant/
+	$(GO) test -run '^$$' -fuzz FuzzReuseAnalyzer -fuzztime 5s ./internal/trace/
 	$(GO) test -run TestGoldenAuditQuickMatrix -count=1 ./internal/experiments/
 	$(GO) test -run TestSampleValidationQuickMatrix -count=1 ./internal/experiments/
 

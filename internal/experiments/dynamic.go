@@ -54,7 +54,10 @@ func runE9(opts Options) (Result, error) {
 		names += app.Name
 	}
 	src := workload.NewPhasedSource(opts.Accesses, legs...)
-	rep := sim.RunTrace(m, names, src, 0)
+	rep, err := sim.ApplyAudit(sim.RunTrace(m, names, src, 0))
+	if err != nil {
+		return res, err
+	}
 
 	hist := rep.History
 	tb := report.NewTable(fmt.Sprintf("E9: partition trajectory over session %q", names),

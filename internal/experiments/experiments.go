@@ -124,13 +124,14 @@ func fanOut[T any](opts Options, label string, n int, job func(i int) (T, error)
 
 // replayOn runs a custom-built machine over app's trace from the
 // engine's arena — the exact stream the engine's own cells replay — so
-// custom-machine runs never regenerate a trace the arena holds.
+// custom-machine runs never regenerate a trace the arena holds. The
+// report passes the invariant audit like every engine cell's does.
 func replayOn(opts Options, m *sim.Machine, app workload.Profile, seed uint64) (sim.RunReport, error) {
 	tr, err := opts.eng().Store().GetTrace(app, seed, opts.Accesses)
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	return sim.RunTrace(m, app.Name, tr.Cursor(), 0), nil
+	return sim.ApplyAudit(sim.RunTrace(m, app.Name, tr.Cursor(), 0))
 }
 
 // DefaultOptions is the full-size configuration cmd/mcbench uses.

@@ -327,6 +327,22 @@ func TestE19FootprintsMatchClaims(t *testing.T) {
 	}
 }
 
+// TestE19NoteFollowsFootprints: at 15k accesses and seed 3 the
+// average kernel footprint exceeds the user one, so E19 must say the
+// claim does not hold rather than assert it.
+func TestE19NoteFollowsFootprints(t *testing.T) {
+	opts := QuickOptions()
+	opts.Accesses, opts.Seed = 15_000, 3
+	res := runOne(t, "E19", opts)
+	if k, u := res.Values["avg_kernel_footprint"], res.Values["avg_user_footprint"]; k < u {
+		t.Fatalf("kernel footprint %.0f below user %.0f: the case this test needs is gone", k, u)
+	}
+	notes := strings.Join(res.Notes, "\n")
+	if strings.Contains(notes, "the kernel set is the smaller") || !strings.Contains(notes, "does not hold") {
+		t.Fatalf("E19 note contradicts its footprints: %q", notes)
+	}
+}
+
 func TestE20MechanismsIsolate(t *testing.T) {
 	opts := quick()
 	opts.Accesses = 150_000

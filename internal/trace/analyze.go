@@ -1,11 +1,21 @@
 package trace
 
+import "math/bits"
+
 // Reuse-distance analysis: for each access, the number of *distinct*
 // blocks touched since the previous access to the same block (LRU
 // stack distance, block granularity). The distribution explains every
 // cache's miss curve — a cache of capacity C blocks captures exactly
 // the accesses with distance < C under LRU — and is how the synthetic
 // workloads are validated against the footprints they claim to model.
+//
+// Each domain keeps a Fenwick (binary indexed) tree over its own
+// access clock: slot t holds 1 while timestamp t is some block's
+// latest access. A re-access of a block last touched at prev has
+// distance live − prefix(prev), the live timestamps newer than prev;
+// it then clears slot prev, and every access sets the slot of its own
+// timestamp. That is O(log n) per access in a 4-byte counter per
+// timestamp.
 
 // ReuseStats summarizes one domain's reuse behaviour.
 type ReuseStats struct {
@@ -17,12 +27,14 @@ type ReuseStats struct {
 	DistinctBlocks uint64
 	// Hist[i] counts re-accesses whose stack distance d satisfies
 	// d+1 in [2^i, 2^(i+1)) — i.e. bin 0 is an immediate re-access.
+	// The last bin, 32, takes every d+1 >= 2^32.
 	Hist [33]uint64
 }
 
-// CDF returns the fraction of non-cold accesses with stack distance
-// below 2^exp — the hit rate of an exp-sized (in log2 blocks) fully
-// associative LRU cache, excluding compulsory misses.
+// CDF returns the fraction of non-cold accesses in bins 0..exp-1,
+// those with stack distance d+1 < 2^exp (every reuse once exp > 32).
+// That is the hit rate, excluding compulsory misses, of a fully
+// associative LRU cache of 2^exp − 1 blocks.
 func (r ReuseStats) CDF(exp int) float64 {
 	reuses := r.Accesses - r.ColdMisses
 	if reuses == 0 {
@@ -35,8 +47,11 @@ func (r ReuseStats) CDF(exp int) float64 {
 	return float64(c) / float64(reuses)
 }
 
-// HitRateAt estimates the hit rate (including compulsory misses as
-// misses) of a fully associative LRU cache holding capacityBlocks.
+// HitRateAt rounds capacityBlocks up to a power of two 2^exp and
+// returns CDF(exp) scaled to all accesses, compulsory misses counted
+// as misses: the fraction of accesses that are reuses with d+1 < 2^exp.
+// For a power-of-two capacity that is the hit rate of a fully
+// associative LRU cache one block smaller.
 func (r ReuseStats) HitRateAt(capacityBlocks uint64) float64 {
 	if r.Accesses == 0 {
 		return 0
@@ -49,112 +64,52 @@ func (r ReuseStats) HitRateAt(capacityBlocks uint64) float64 {
 	return r.CDF(exp) * float64(reuses) / float64(r.Accesses)
 }
 
-// reuseTree is an order-statistics treap over last-access timestamps:
-// it supports "how many distinct blocks were touched more recently
-// than t" in O(log n).
-type reuseTree struct {
-	nodes []reuseNode
-	root  int32
-	rng   uint64
-}
+// fenwick is a binary indexed tree over 1-based timestamps. Its
+// capacity n = len−1 is a power of two, so node n spans every slot and
+// holds the live count.
+type fenwick []uint32
 
-type reuseNode struct {
-	key         uint64 // last-access timestamp
-	prio        uint64
-	left, right int32
-	size        int32
-}
-
-func newReuseTree() *reuseTree {
-	return &reuseTree{root: -1, rng: 0x9e3779b97f4a7c15}
-}
-
-func (t *reuseTree) nextPrio() uint64 {
-	x := t.rng
-	x ^= x >> 12
-	x ^= x << 25
-	x ^= x >> 27
-	t.rng = x
-	return x * 0x2545f4914f6cdd1d
-}
-
-func (t *reuseTree) size(n int32) int32 {
-	if n < 0 {
-		return 0
+// set marks timestamp t live, doubling the capacity until t fits.
+// Doubling keeps the old nodes' spans; the new top node spans every
+// slot, so it takes the live count, and every other new node spans
+// only empty slots, so it stays 0.
+func (f *fenwick) set(t uint64) {
+	for n := uint64(len(*f) - 1); t > n; n *= 2 {
+		g := make(fenwick, 2*n+1)
+		copy(g, *f)
+		g[2*n] = (*f)[n]
+		*f = g
 	}
-	return t.nodes[n].size
-}
-
-func (t *reuseTree) update(n int32) {
-	t.nodes[n].size = 1 + t.size(t.nodes[n].left) + t.size(t.nodes[n].right)
-}
-
-// split partitions by key: left subtree keys < key, right >= key.
-func (t *reuseTree) split(n int32, key uint64) (int32, int32) {
-	if n < 0 {
-		return -1, -1
+	for i := t; i < uint64(len(*f)); i += i & -i {
+		(*f)[i]++
 	}
-	if t.nodes[n].key < key {
-		l, r := t.split(t.nodes[n].right, key)
-		t.nodes[n].right = l
-		t.update(n)
-		return n, r
-	}
-	l, r := t.split(t.nodes[n].left, key)
-	t.nodes[n].left = r
-	t.update(n)
-	return l, n
 }
 
-func (t *reuseTree) merge(a, b int32) int32 {
-	if a < 0 {
-		return b
+// clear marks the live timestamp t dead.
+func (f fenwick) clear(t uint64) {
+	for i := t; i < uint64(len(f)); i += i & -i {
+		f[i]--
 	}
-	if b < 0 {
-		return a
-	}
-	if t.nodes[a].prio > t.nodes[b].prio {
-		t.nodes[a].right = t.merge(t.nodes[a].right, b)
-		t.update(a)
-		return a
-	}
-	t.nodes[b].left = t.merge(a, t.nodes[b].left)
-	t.update(b)
-	return b
 }
 
-// insert adds a timestamp (all timestamps are unique and increasing,
-// so the new node always lands at the right edge).
-func (t *reuseTree) insert(key uint64) {
-	t.nodes = append(t.nodes, reuseNode{key: key, prio: t.nextPrio(), left: -1, right: -1, size: 1})
-	n := int32(len(t.nodes) - 1)
-	l, r := t.split(t.root, key)
-	t.root = t.merge(t.merge(l, n), r)
-}
-
-// remove deletes the node with exactly this timestamp.
-func (t *reuseTree) remove(key uint64) {
-	l, r := t.split(t.root, key)
-	_, r2 := t.split(r, key+1)
-	t.root = t.merge(l, r2)
-}
-
-// countGreater reports how many stored timestamps exceed key.
-func (t *reuseTree) countGreater(key uint64) uint64 {
-	l, r := t.split(t.root, key+1)
-	n := uint64(t.size(r))
-	t.root = t.merge(l, r)
-	return n
+// newer counts the live timestamps after t.
+func (f fenwick) newer(t uint64) uint64 {
+	n := f[len(f)-1]
+	for i := t; i > 0; i -= i & -i {
+		n -= f[i]
+	}
+	return uint64(n)
 }
 
 // ReuseAnalyzer computes per-domain block-granularity reuse-distance
 // distributions in a single streaming pass (O(log n) per access).
 type ReuseAnalyzer struct {
 	blockBytes uint64
-	last       [NumDomains]map[uint64]uint64
-	tree       [NumDomains]*reuseTree
-	stats      [NumDomains]ReuseStats
-	clock      uint64
+	// last maps each block to its latest access timestamp: the
+	// domain's access count at that access.
+	last  [NumDomains]map[uint64]uint64
+	live  [NumDomains]fenwick
+	stats [NumDomains]ReuseStats
 }
 
 // NewReuseAnalyzer builds an analyzer at the given block granularity
@@ -166,7 +121,7 @@ func NewReuseAnalyzer(blockBytes int) *ReuseAnalyzer {
 	ra := &ReuseAnalyzer{blockBytes: uint64(blockBytes)}
 	for d := 0; d < NumDomains; d++ {
 		ra.last[d] = make(map[uint64]uint64)
-		ra.tree[d] = newReuseTree()
+		ra.live[d] = make(fenwick, 2)
 	}
 	return ra
 }
@@ -177,24 +132,20 @@ func (ra *ReuseAnalyzer) Observe(a Access) {
 	if !d.Valid() {
 		return
 	}
-	ra.clock++
 	block := a.Addr / ra.blockBytes
 	st := &ra.stats[d]
 	st.Accesses++
+	now := st.Accesses
 	if prev, seen := ra.last[d][block]; seen {
-		dist := ra.tree[d].countGreater(prev)
-		i := 0
-		for (uint64(1)<<uint(i+1)) <= dist+1 && i < len(st.Hist)-1 {
-			i++
-		}
-		st.Hist[i]++
-		ra.tree[d].remove(prev)
+		dist := ra.live[d].newer(prev)
+		st.Hist[min(bits.Len64(dist+1)-1, len(st.Hist)-1)]++
+		ra.live[d].clear(prev)
 	} else {
 		st.ColdMisses++
 		st.DistinctBlocks++
 	}
-	ra.last[d][block] = ra.clock
-	ra.tree[d].insert(ra.clock)
+	ra.last[d][block] = now
+	ra.live[d].set(now)
 }
 
 // Stats returns the accumulated distribution for one domain.

@@ -91,55 +91,80 @@ func TestReuseAnalyzerCyclicPattern(t *testing.T) {
 	}
 }
 
-// Reference implementation: naive O(n^2) stack distance.
-func naiveDistances(addrs []uint64) map[int]int {
-	out := map[int]int{}
-	var history []uint64 // most recent last
-	for _, a := range addrs {
-		// Find previous position.
+// naiveStats is the reference analyzer: each domain keeps its blocks
+// in recency order and a re-access's distance is the number of blocks
+// after it, O(n) per access. Records with an invalid domain are
+// skipped.
+func naiveStats(recs []Access, blockBytes uint64) [NumDomains]ReuseStats {
+	var out [NumDomains]ReuseStats
+	var recency [NumDomains][]uint64 // most recent last
+	for _, a := range recs {
+		d := a.Domain
+		if !d.Valid() {
+			continue
+		}
+		block := a.Addr / blockBytes
+		st := &out[d]
+		st.Accesses++
 		prev := -1
-		for i := len(history) - 1; i >= 0; i-- {
-			if history[i] == a {
+		for i, b := range recency[d] {
+			if b == block {
 				prev = i
 				break
 			}
 		}
-		if prev >= 0 {
-			distinct := map[uint64]bool{}
-			for _, b := range history[prev+1:] {
-				distinct[b] = true
+		if prev < 0 {
+			st.ColdMisses++
+			st.DistinctBlocks++
+		} else {
+			dist := uint64(len(recency[d]) - 1 - prev)
+			i := 0
+			for (uint64(1)<<uint(i+1)) <= dist+1 && i < len(st.Hist)-1 {
+				i++
 			}
-			out[len(distinct)]++
-			history = append(history[:prev], history[prev+1:]...)
+			st.Hist[i]++
+			recency[d] = append(recency[d][:prev], recency[d][prev+1:]...)
 		}
-		history = append(history, a)
+		recency[d] = append(recency[d], block)
 	}
 	return out
 }
 
+// checkAgainstNaive compares every ReuseStats field of both domains.
+func checkAgainstNaive(t *testing.T, recs []Access) {
+	t.Helper()
+	ra := Analyze(NewSliceSource(recs), 64)
+	want := naiveStats(recs, 64)
+	for d := Domain(0); d < NumDomains; d++ {
+		if got := ra.Stats(d); got != want[d] {
+			t.Fatalf("%d records, %s: analyzer disagrees with naive:\n got %+v\nwant %+v", len(recs), d, got, want[d])
+		}
+	}
+}
+
+// TestReuseAnalyzerMatchesNaive compares the analyzer with the naive
+// reference on both domains interleaved, with invalid-domain records
+// mixed in; a single-domain pass then ends its clock just below, at
+// and just past a capacity doubling.
 func TestReuseAnalyzerMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
-	blocks := make([]uint64, 400)
-	for i := range blocks {
-		blocks[i] = uint64(rng.Intn(40)) * 64
-	}
-	ra := NewReuseAnalyzer(64)
-	for _, b := range blocks {
-		ra.Observe(acc(b, User))
-	}
-	st := ra.Stats(User)
-
-	naive := naiveDistances(blocks)
-	var wantHist [33]uint64
-	for d, c := range naive {
-		i := 0
-		for (uint64(1)<<uint(i+1)) <= uint64(d)+1 && i < 32 {
-			i++
+	for _, n := range []int{1, 1023, 1024, 1025, 5000} {
+		recs := make([]Access, n)
+		for i := range recs {
+			// Two in five records per valid domain, one in five
+			// invalid; a small block range so most accesses reuse.
+			d := []Domain{User, User, Kernel, Kernel, Domain(7)}[rng.Intn(5)]
+			recs[i] = Access{Addr: uint64(rng.Intn(300))*64 + uint64(rng.Intn(64)), Op: Load, Domain: d}
 		}
-		wantHist[i] += uint64(c)
+		checkAgainstNaive(t, recs)
 	}
-	if st.Hist != wantHist {
-		t.Fatalf("analyzer disagrees with naive:\n got %v\nwant %v", st.Hist[:8], wantHist[:8])
+	// One domain alone fills its clock to exactly the capacity edges.
+	for _, n := range []int{1023, 1024, 1025} {
+		recs := make([]Access, n)
+		for i := range recs {
+			recs[i] = acc(uint64(rng.Intn(40))*64, Kernel)
+		}
+		checkAgainstNaive(t, recs)
 	}
 }
 

@@ -69,3 +69,22 @@ func FuzzBinaryReader(f *testing.F) {
 		}
 	})
 }
+
+// FuzzReuseAnalyzer decodes each byte into one access — block b/3,
+// domain b%3, where 2 is invalid and must be skipped — and checks the
+// analyzer against the naive reference on every ReuseStats field.
+func FuzzReuseAnalyzer(f *testing.F) {
+	f.Add([]byte{0, 3, 0, 1, 4, 1})
+	f.Add([]byte{2, 5, 8, 0, 0, 0})
+	f.Add(bytes.Repeat([]byte{0, 3, 6, 9, 1, 4, 7}, 200))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) > 4096 {
+			data = data[:4096]
+		}
+		recs := make([]Access, len(data))
+		for i, b := range data {
+			recs[i] = Access{Addr: uint64(b/3) * 64, Op: Load, Domain: Domain(b % 3)}
+		}
+		checkAgainstNaive(t, recs)
+	})
+}
