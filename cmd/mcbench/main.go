@@ -169,11 +169,12 @@ func run(args []string, out io.Writer) error {
 		ids = []string{*expID}
 	}
 	// The whole run shares one engine, so the end-of-run summary on
-	// stderr reports how its run memo and trace arena performed across
-	// every experiment (mcsweep prints the same line per sweep).
+	// stderr reports how its run memo, trace arena and shared front ends
+	// performed across every experiment (mcsweep prints the same line
+	// per sweep).
 	defer func() {
 		fmt.Fprintf(os.Stderr, "mcbench: %s\n",
-			engine.CacheSummary(opts.Engine.MemoStats(), opts.Engine.Store().Stats()))
+			engine.CacheSummary(opts.Engine.MemoStats(), opts.Engine.Store().Stats(), opts.Engine.FrontEndStats()))
 	}()
 	for _, id := range ids {
 		res, err := experiments.Run(id, opts)

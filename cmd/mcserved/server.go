@@ -262,6 +262,8 @@ func (s *server) metrics(w http.ResponseWriter, r *http.Request) {
 	gauge("mcserved_memo_shards", "Run-memo lock stripes.", float64(st.Memo.Shards))
 	gauge("mcserved_memo_shard_entries_max", "Entries in the fullest run-memo shard (skew vs min).", float64(st.Memo.MaxShardEntries))
 	gauge("mcserved_memo_shard_entries_min", "Entries in the emptiest run-memo shard (skew vs max).", float64(st.Memo.MinShardEntries))
+	counter("mcserved_frontend_built_total", "Shared front-end streams recorded.", st.FrontEnd.Built)
+	counter("mcserved_frontend_reused_total", "Cells that replayed a front-end stream another cell recorded.", st.FrontEnd.Reused)
 	counter("mcserved_trace_hits_total", "Trace-arena hits.", st.Store.Hits)
 	counter("mcserved_trace_misses_total", "Trace-arena misses.", st.Store.Misses)
 	counter("mcserved_trace_generated_total", "Traces generated.", st.Store.Generated)

@@ -32,6 +32,19 @@ func newTestServer(t *testing.T, opts jobs.Options) (*httptest.Server, *jobs.Man
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Stop the manager before the store directory is removed: a job
+	// still running would keep writing its journal and CSV into it.
+	// Cleanups run last-registered first, so this one runs after the
+	// server closes and before the TempDir removal registered above.
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		// A drain past the deadline still cancels and awaits every
+		// execution before Shutdown returns, which is all teardown needs.
+		if err := m.Shutdown(ctx); err != nil {
+			t.Logf("job manager drain: %v", err)
+		}
+	})
 	ts := httptest.NewServer(newServer(m))
 	t.Cleanup(ts.Close)
 	return ts, m
@@ -318,6 +331,8 @@ func TestHealthReadyMetrics(t *testing.T) {
 		"mcserved_trace_demotions_total",
 		"mcserved_trace_shards",
 		"mcserved_trace_shard_entries_min",
+		"mcserved_frontend_built_total",
+		"mcserved_frontend_reused_total",
 		"mcserved_jobs_recovered_total 0",
 	} {
 		if !bytes.Contains(body, []byte(metric)) {

@@ -122,7 +122,7 @@ func run(args []string, out io.Writer) error {
 		// format identical for scripts that scrape it.
 		if err == nil {
 			fmt.Fprintf(os.Stderr, "mcsim: %s\n",
-				engine.CacheSummary(eng.MemoStats(), eng.Store().Stats()))
+				engine.CacheSummary(eng.MemoStats(), eng.Store().Stats(), eng.FrontEndStats()))
 		}
 	}
 	if err != nil {

@@ -349,7 +349,7 @@ func sweep(ctx context.Context, spec Spec, opt options, sink engine.Sink, errOut
 	fmt.Fprintf(errOut,
 		"sweep: %d cells (%d ok, %d failed, %d resumed, %d memoized); %s\n",
 		sum.Manifest.TotalCells, sum.Manifest.Succeeded, len(sum.Manifest.Failed), sum.Resumed,
-		sum.Memoized, engine.CacheSummary(sum.Memo, sum.Store))
+		sum.Memoized, engine.CacheSummary(sum.Memo, sum.Store, sum.FrontEnd))
 	if opt.checkpointPath != "" {
 		fmt.Fprintf(errOut, "checkpoint: %d cells appended to %s (%d resumed, %d corrupt bytes discarded)\n",
 			sum.CheckpointAppended, opt.checkpointPath, sum.Resumed, sum.CheckpointDiscarded)

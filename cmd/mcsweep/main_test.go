@@ -83,8 +83,9 @@ func TestSweepProducesCSV(t *testing.T) {
 
 // TestSweepSharedTraceArena: all cells of a sweep share one trace
 // store, so a 2-machine x 1-app x 2-seed sweep generates exactly 2
-// traces and replays them for the second machine — and the stderr
-// summary surfaces those counters.
+// traces; the first machine on each trace records its front end and
+// the second replays it without reading the arena again — and the
+// stderr summary surfaces those counters.
 func TestSweepSharedTraceArena(t *testing.T) {
 	path := writeSpec(t, `{
 		"machines": ["baseline-sram", "sp-mr"],
@@ -100,8 +101,11 @@ func TestSweepSharedTraceArena(t *testing.T) {
 	if !strings.Contains(summary, "4 cells (4 ok, 0 failed, 0 resumed, 0 memoized)") {
 		t.Fatalf("summary missing cell counts:\n%s", summary)
 	}
-	if !strings.Contains(summary, "2 generated, 2 hits, 2 misses") {
-		t.Fatalf("summary missing trace-arena counters (want 2 generated, 2 hits, 2 misses):\n%s", summary)
+	if !strings.Contains(summary, "2 generated, 0 hits, 2 misses") {
+		t.Fatalf("summary missing trace-arena counters (want 2 generated, 0 hits, 2 misses):\n%s", summary)
+	}
+	if !strings.Contains(summary, "front ends: 2 built, 2 reused") {
+		t.Fatalf("summary missing shared front-end counters (want 2 built, 2 reused):\n%s", summary)
 	}
 	// The sharded-cache summary surfaces the run memo alongside the
 	// arena: 4 distinct cells mean 4 memo misses and no hits.

@@ -3,7 +3,7 @@ package cache
 import "mobilecache/internal/trace"
 
 // This file is the cache-side surface of the frame-batched replay
-// kernel (mem.AccessFrame). The kernel scans the tags sidecar directly
+// kernel's front end (mem.Front.Frame). The kernel scans the tags sidecar directly
 // and performs the hit bookkeeping through the specialized entry
 // points below, so the per-hit cost is the tag row scan plus a handful
 // of stores — no Lookup call, no Result struct, no per-access stats

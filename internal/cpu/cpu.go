@@ -83,19 +83,30 @@ func (r Result) StallFraction() float64 {
 }
 
 // stepBatchLen is the frame size: how many records Run stages per
-// AccessFrame call. Big enough to amortize frame setup (the kernel
-// hoists hierarchy state once per frame), small enough that the frame
-// buffer stays L1-resident on the host.
+// front-end Frame call. Big enough to amortize frame setup (the kernel
+// hoists L1 state once per frame), small enough that the frame buffer
+// stays L1-resident on the host.
 const stepBatchLen = 256
 
-// CPU binds a config to a hierarchy.
+// frameEventsCap bounds one frame's L2 events: a miss issues at most a
+// demand read, a writeback, a prefetch and the prefetch's writeback,
+// and the frame may end in an idle and a leakage-sync event.
+const frameEventsCap = 4*stepBatchLen + 2
+
+// CPU binds a config to a hierarchy. Replay runs in two stages (see
+// internal/mem's frame.go): the front end turns trace frames into L2
+// events on the CPU's front-end clock — busy cycles since the CPU was
+// built — and the back end replays them on the machine's real clock,
+// which runs ahead of the front-end clock by the stall and idle
+// cycles accumulated so far (lag).
 type CPU struct {
-	cfg  Config
-	hier *mem.Hierarchy
-	now  uint64
-	buf  []trace.Access
-	pre  []mem.FramePre
-	geom trace.FrameGeom
+	cfg   Config
+	hier  *mem.Hierarchy
+	clock uint64
+	lag   mem.Lag
+	pre   []mem.FramePre
+	evs   []mem.Event
+	geom  trace.FrameGeom
 }
 
 // New builds a CPU over the hierarchy.
@@ -111,33 +122,120 @@ func New(cfg Config, hier *mem.Hierarchy) (*CPU, error) {
 	}
 	return &CPU{
 		cfg: cfg, hier: hier,
-		buf:  make([]trace.Access, stepBatchLen),
+		lag:  mem.Lag{IdleCycles: cfg.IdleCycles},
 		pre:  make([]mem.FramePre, stepBatchLen),
+		evs:  make([]mem.Event, 0, frameEventsCap),
 		geom: hier.FrameGeom(),
 	}, nil
 }
 
 // Now reports the current simulated cycle.
-func (c *CPU) Now() uint64 { return c.now }
+func (c *CPU) Now() uint64 { return c.clock + c.lag.Cycles }
 
 // Run replays up to maxAccesses records from src (0 = until the source
 // ends) and returns the timing result. Run may be called repeatedly;
 // time continues from where the previous call stopped.
 //
-// Replay runs in frames: each iteration stages up to one frame of
+// Replay runs in frames: each iteration decodes up to one frame of
 // records (stepBatchLen, clipped so no frame spans an idle or
-// leakage-sync boundary — see frameCap) and hands it to the
-// hierarchy's frame kernel in a single AccessFrame call. Cursors take
-// devirtualized fast paths: a trace.SliceCursor (hot-tier decoded
-// replay) stages zero-copy batches of its records through the frame
-// precompute, and a trace.Cursor (packed replay) decodes straight
-// into the frame buffer with the precompute fused into the varint
-// loop (DecodeFrame) — no intermediate Access staging at all. All
-// paths execute the identical frame step, so results never depend on
-// the source's type.
+// leakage-sync boundary — see frameCap) with one FrameSource call,
+// runs the front end over it, and hands the frame's L2 events to the
+// back end before the next frame.
 func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
-	var res Result
-	st := &stepState{
+	res, _ := c.run(src, maxAccesses, false)
+	return res
+}
+
+// Record is Run that also keeps the run's L2 events: the returned
+// Segment lets any machine built with this CPU's config and L1s finish
+// the same run by replaying only the back end (Replay).
+func (c *CPU) Record(src trace.Source, maxAccesses uint64) (Result, Segment) {
+	return c.run(src, maxAccesses, true)
+}
+
+// Recorded events go into chunks that start at a few frames' worth and
+// double up to maxChunkEvents (1 MiB), so a recording never copies
+// what it has already written and wastes at most its last chunk.
+const maxChunkEvents = 1 << 15
+
+func (c *CPU) run(src trace.Source, maxAccesses uint64, record bool) (Result, Segment) {
+	c.resetLag()
+	before := c.hier.Counts()
+	r := c.begin(src, maxAccesses)
+	// A plain run reuses one frame's worth of buffer; a recording keeps
+	// every frame's events.
+	evs := c.evs
+	var chunks [][]mem.Event
+	if record {
+		evs = make([]mem.Event, 0, 2*frameEventsCap)
+	}
+	for {
+		if !record {
+			evs = evs[:0]
+		} else if cap(evs)-len(evs) < frameEventsCap {
+			chunks = append(chunks, evs)
+			evs = make([]mem.Event, 0, min(2*cap(evs), maxChunkEvents))
+		}
+		start := len(evs)
+		var ok bool
+		if evs, ok = c.frame(&r, evs); !ok {
+			break
+		}
+		c.hier.Replay(evs[start:], &c.lag)
+	}
+	c.hier.Advance(c.Now())
+	res := c.result(&r.res)
+	if !record {
+		return res, Segment{}
+	}
+	chunks = append(chunks, evs)
+	return res, Segment{chunks: chunks, front: r.res, counts: c.hier.Counts().Sub(before), clock: c.clock}
+}
+
+// Segment is one run's recorded front end: its L2 event stream (in
+// chunks that each hold whole frames), the machine-independent part
+// of its Result (accesses, instructions, busy cycles), the front end's
+// energy totals and the front-end clock at its end. It is immutable
+// once recorded, so any number of machines may replay it concurrently.
+type Segment struct {
+	chunks [][]mem.Event
+	front  Result
+	counts mem.FrontCounts
+	clock  uint64
+}
+
+// Replay runs the back end of a recorded segment on this CPU's
+// hierarchy and returns the result Run would have. Segments must be
+// replayed in the order they were recorded, on a CPU built like the
+// recorder (Run's time continuity holds across them); the recorded L1
+// energy and prefetch totals are charged to this hierarchy's front end,
+// whose caches themselves stay cold.
+func (c *CPU) Replay(s *Segment) Result {
+	c.resetLag()
+	for _, ch := range s.chunks {
+		c.hier.Replay(ch, &c.lag)
+	}
+	c.hier.AddCounts(s.counts)
+	c.clock = s.clock
+	c.hier.Advance(c.Now())
+	return c.result(&s.front)
+}
+
+// run is one Run's front-end state.
+type run struct {
+	src trace.FrameSource
+	max uint64
+	// res accumulates the front end's share of the Result: accesses,
+	// instructions and busy cycles.
+	res               Result
+	idleLeft, advLeft uint64
+	unitCPI           bool
+}
+
+func (c *CPU) begin(src trace.Source, maxAccesses uint64) run {
+	return run{
+		src: trace.Frames(src),
+		max: maxAccesses,
 		// Countdown counters replace per-access modulo checks against
 		// IdleEvery/AdvanceEvery; a zero idleLeft start disables idling
 		// (the counter never moves). AdvanceEvery is always positive
@@ -149,116 +247,66 @@ func (c *CPU) Run(src trace.Source, maxAccesses uint64) Result {
 		// round-trip without changing a single cycle.
 		unitCPI: c.cfg.BaseCPI == 1.0,
 	}
-	switch cur := src.(type) {
-	case *trace.SliceCursor:
-		// Hot-tier replay: the records already exist in memory, so frames
-		// stage as shared sub-slices of them — no decode, no copy.
-		for {
-			want := c.frameCap(st, &res, maxAccesses)
-			b := cur.Batch(want)
-			if len(b) == 0 {
-				break
-			}
-			c.hier.PrecomputeFrame(b, c.pre)
-			c.stepFrame(c.pre[:len(b)], &res, st)
-			c.frameEnd(len(b), &res, st)
-		}
-	case *trace.Cursor:
-		for {
-			want := c.frameCap(st, &res, maxAccesses)
-			n := cur.DecodeFrame(c.pre[:want], &c.geom)
-			if n == 0 {
-				break
-			}
-			c.stepFrame(c.pre[:n], &res, st)
-			c.frameEnd(n, &res, st)
-		}
-	default:
-		if bd, ok := src.(batchDecoder); ok {
-			// Any other bulk-decoding source (e.g. the set-sampling filter
-			// wrapping a cursor) fills the staging buffer the same way. The
-			// loop is duplicated rather than shared through a method value:
-			// binding bd.Decode to a func variable would allocate per Run.
-			for {
-				want := c.frameCap(st, &res, maxAccesses)
-				n := bd.Decode(c.buf[:want])
-				if n == 0 {
-					break
-				}
-				c.hier.PrecomputeFrame(c.buf[:n], c.pre)
-				c.stepFrame(c.pre[:n], &res, st)
-				c.frameEnd(n, &res, st)
-			}
-		} else {
-			for {
-				want := c.frameCap(st, &res, maxAccesses)
-				n := 0
-				for n < want {
-					a, ok := src.Next()
-					if !ok {
-						break
-					}
-					c.buf[n] = a
-					n++
-				}
-				if n == 0 {
-					break
-				}
-				c.hier.PrecomputeFrame(c.buf[:n], c.pre)
-				c.stepFrame(c.pre[:n], &res, st)
-				c.frameEnd(n, &res, st)
-			}
-		}
+}
+
+// resetLag starts a run's stall and idle tallies; the lag itself
+// carries over, like the clock.
+func (c *CPU) resetLag() {
+	c.lag.Stall, c.lag.StallByDomain, c.lag.Idle = 0, [trace.NumDomains]uint64{}, 0
+}
+
+// result completes a run's front-end Result with the back end's stall
+// and idle tallies.
+func (c *CPU) result(front *Result) Result {
+	res := *front
+	res.StallCycles = c.lag.Stall
+	res.IdleCycles = c.lag.Idle
+	res.Cycles += c.lag.Stall
+	for d, v := range c.lag.StallByDomain {
+		res.CyclesByDomain[d] += v
 	}
-	c.hier.Advance(c.now)
 	return res
-}
-
-// batchDecoder is the bulk-fill contract sources can implement to
-// skip the per-access Source.Next round-trip without being one of the
-// two concrete cursor types.
-type batchDecoder interface {
-	Decode(dst []trace.Access) int
-}
-
-// stepState is the per-Run hot-loop state.
-type stepState struct {
-	idleLeft, advLeft uint64
-	unitCPI           bool
 }
 
 // frameCap sizes the next frame: at most stepBatchLen records, never
 // crossing the idle or leakage-sync countdown (so those events fire
-// exactly at frame boundaries, at the same access positions the
-// per-record loop fired them), and never past this call's maxAccesses
-// budget. Countdowns are always positive here — frameEnd resets them
-// the moment they reach zero.
-func (c *CPU) frameCap(st *stepState, res *Result, maxAccesses uint64) int {
+// exactly at frame boundaries, at the same access positions a
+// per-record loop fires them), and never past the run's maxAccesses
+// budget. Countdowns are always positive here — frame resets them the
+// moment they reach zero.
+func (r *run) frameCap() int {
 	want := stepBatchLen
-	if st.advLeft < uint64(want) {
-		want = int(st.advLeft)
+	if r.advLeft < uint64(want) {
+		want = int(r.advLeft)
 	}
-	if st.idleLeft > 0 && st.idleLeft < uint64(want) {
-		want = int(st.idleLeft)
+	if r.idleLeft > 0 && r.idleLeft < uint64(want) {
+		want = int(r.idleLeft)
 	}
-	if maxAccesses != 0 {
-		if left := maxAccesses - res.Accesses; left < uint64(want) {
+	if r.max != 0 {
+		if left := r.max - r.res.Accesses; left < uint64(want) {
 			want = int(left)
 		}
 	}
 	return want
 }
 
-// stepFrame charges one staged frame: base cycles for each record's
-// instructions (rescaled in place for non-unit CPI) and the
-// hierarchy's frame kernel for the accesses. The kernel returns the
-// frame's clock totals; everything folds into res in one pass.
-func (c *CPU) stepFrame(pre []mem.FramePre, res *Result, st *stepState) {
+// frame runs the front end over the run's next frame: base cycles for
+// each record's instructions (rescaled in place for non-unit CPI), the
+// L1 kernel, and the idle and leakage-sync countdowns. It appends the
+// frame's L2 events — then an EvIdle and an EvSync event if either
+// countdown fires at the frame's end, idle first so the sync observes
+// the post-idle clock — to evs. ok is false, and evs unchanged, once
+// the run is over.
+func (c *CPU) frame(r *run, evs []mem.Event) (_ []mem.Event, ok bool) {
+	n := r.src.DecodeFrame(c.pre[:r.frameCap()], &c.geom)
+	if n == 0 {
+		return evs, false
+	}
+	pre := c.pre[:n]
 	var instrs uint64
-	if !st.unitCPI {
-		// DecodeFrame/PrecomputeFrame fill Busy with the instruction
-		// count; rescale to base cycles here, preserving the old loop's
-		// at-least-one-cycle clamp.
+	if !r.unitCPI {
+		// DecodeFrame fills Busy with the instruction count; rescale to
+		// base cycles here, with an at-least-one-cycle clamp.
 		for i := range pre {
 			instr := pre[i].Busy
 			instrs += instr
@@ -269,42 +317,30 @@ func (c *CPU) stepFrame(pre []mem.FramePre, res *Result, st *stepState) {
 			pre[i].Busy = busy
 		}
 	}
-	fs := c.hier.AccessFrame(pre, c.now)
-	if st.unitCPI {
+	evs, fs := c.hier.Frame(pre, c.clock, evs)
+	if r.unitCPI {
 		// Unit CPI: busy cycles are the instruction counts (each >= 1 by
 		// construction, so the clamp never binds).
 		instrs = fs.Busy
 	}
-	c.now += fs.Busy + fs.Stall
-	res.Accesses += uint64(len(pre))
-	res.Instructions += instrs
-	res.Cycles += fs.Busy + fs.Stall
-	res.StallCycles += fs.Stall
+	c.clock += fs.Busy
+	r.res.Accesses += uint64(n)
+	r.res.Instructions += instrs
+	r.res.Cycles += fs.Busy
 	for d, v := range fs.ByDomain {
-		res.CyclesByDomain[d] += v
+		r.res.CyclesByDomain[d] += v
 	}
-}
-
-// frameEnd retires a frame of n accesses against the idle and
-// leakage-sync countdowns. frameCap guarantees n never overshoots
-// either countdown, so each fires exactly at its per-access position;
-// when both fire at the same access, idle runs first and the leakage
-// sync observes the post-idle clock — the per-record loop's order.
-func (c *CPU) frameEnd(n int, res *Result, st *stepState) {
-	st.advLeft -= uint64(n)
-	if st.idleLeft > 0 {
-		st.idleLeft -= uint64(n)
-		if st.idleLeft == 0 {
-			st.idleLeft = c.cfg.IdleEvery
-			c.now += c.cfg.IdleCycles
-			res.IdleCycles += c.cfg.IdleCycles
-			// Let retention controllers and leakage meters observe the
-			// idle stretch immediately.
-			c.hier.Advance(c.now)
+	r.advLeft -= uint64(n)
+	if r.idleLeft > 0 {
+		r.idleLeft -= uint64(n)
+		if r.idleLeft == 0 {
+			r.idleLeft = c.cfg.IdleEvery
+			evs = append(evs, mem.Event{Clock: c.clock, Kind: mem.EvIdle})
 		}
 	}
-	if st.advLeft == 0 {
-		st.advLeft = c.cfg.AdvanceEvery
-		c.hier.Advance(c.now)
+	if r.advLeft == 0 {
+		r.advLeft = c.cfg.AdvanceEvery
+		evs = append(evs, mem.Event{Clock: c.clock, Kind: mem.EvSync})
 	}
+	return evs, true
 }

@@ -208,6 +208,9 @@ func (m *Meter) Read(n uint64) { m.reads += n }
 // Write charges n block writes.
 func (m *Meter) Write(n uint64) { m.writes += n }
 
+// Counts reports the read and write events charged so far.
+func (m *Meter) Counts() (reads, writes uint64) { return m.reads, m.writes }
+
 // Refresh charges n line refreshes; a refresh is a read plus a write
 // of the line, accounted in the refresh bucket.
 func (m *Meter) Refresh(n uint64) { m.refreshes += n }

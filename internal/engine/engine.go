@@ -36,6 +36,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"runtime"
 	"sync/atomic"
 	"time"
 
@@ -177,6 +178,10 @@ type Engine struct {
 	cfg   Config
 	store *tracestore.Store
 	memo  *memo
+
+	// frontBuilt and frontReused accumulate every execution's
+	// FrontEndStats.
+	frontBuilt, frontReused atomic.Uint64
 }
 
 // New builds an engine from cfg.
@@ -207,6 +212,11 @@ func (e *Engine) Workers() int { return e.cfg.Workers }
 // MemoStats snapshots the run memo's hit/miss/eviction counters (the
 // daemon's /metrics reads them live).
 func (e *Engine) MemoStats() MemoStats { return e.memo.stats() }
+
+// FrontEndStats sums the shared front ends of every execution so far.
+func (e *Engine) FrontEndStats() FrontEndStats {
+	return FrontEndStats{Built: e.frontBuilt.Load(), Reused: e.frontReused.Load()}
+}
 
 // keyOf hashes one cell's full inputs exactly the way the checkpoint
 // journal always has — machine config, profile, seed, accesses,
@@ -243,29 +253,15 @@ func (e *Engine) RunOneSampled(ctx context.Context, c Cell, accesses, warmup int
 	if err != nil {
 		return sim.RunReport{}, err
 	}
-	if rep, ok := e.memo.get(key); ok {
-		return rep, nil
-	}
-	rep, err := e.simulate(c, accesses, warmup, spec)
-	if err != nil {
-		return rep, err
-	}
-	e.memo.add(key, rep)
-	return rep, nil
+	rep, _, err := e.runKeyed(key, func() (sim.RunReport, error) {
+		return sim.RunCell(e.store, simCell(c, accesses, warmup, spec))
+	})
+	return rep, err
 }
 
-// simulate is the one place a cell becomes a sim call.
-func (e *Engine) simulate(c Cell, accesses, warmup int, spec sample.Spec) (sim.RunReport, error) {
-	if spec.Norm().Enabled() {
-		if warmup > 0 {
-			return sim.RunWarmWorkloadFromSampled(e.store, c.Config, c.Profile, c.Seed, warmup, accesses, spec)
-		}
-		return sim.RunWorkloadFromSampled(e.store, c.Config, c.Profile, c.Seed, accesses, spec)
-	}
-	if warmup > 0 {
-		return sim.RunWarmWorkloadFrom(e.store, c.Config, c.Profile, c.Seed, warmup, accesses)
-	}
-	return sim.RunWorkloadFrom(e.store, c.Config, c.Profile, c.Seed, accesses)
+// simCell is the one place a cell becomes a sim run.
+func simCell(c Cell, accesses, warmup int, spec sample.Spec) sim.Cell {
+	return sim.Cell{Config: c.Config, Profile: c.Profile, Seed: c.Seed, Accesses: accesses, Warmup: warmup, Sample: spec}
 }
 
 // ExecOptions are the per-execution knobs (the per-engine ones live in
@@ -324,16 +320,24 @@ type Summary struct {
 	// Memo is the run memo's counter snapshot at the end of the
 	// execution (cumulative for the engine, like Store).
 	Memo MemoStats
+	// FrontEnd counts this execution's shared front ends.
+	FrontEnd FrontEndStats
+
+	// peakStreams is the most shared streams the execution held at
+	// once.
+	peakStreams int
 }
 
-// CacheSummary renders the engine's two cache snapshots as the one-line
-// form every front end's run summary uses, so mcsweep, mcbench and
-// mcsim report the memo and arena identically.
-func CacheSummary(memo MemoStats, st tracestore.Stats) string {
+// CacheSummary renders the engine's cache and sharing snapshots as the
+// one-line form every front end's run summary uses, so mcsweep,
+// mcbench and mcsim report the memo, the arena and the shared front
+// ends identically.
+func CacheSummary(memo MemoStats, st tracestore.Stats, fe FrontEndStats) string {
 	return fmt.Sprintf(
-		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries (%d shards); trace arena: %d generated, %d hits, %d misses, %.1f MB resident, %d evicted, %d demoted (%d shards)",
+		"run memo: %d hits, %d misses, %d dup adds, %d evicted, %d entries (%d shards); trace arena: %d generated, %d hits, %d misses, %.1f MB resident, %d evicted, %d demoted (%d shards); front ends: %d built, %d reused",
 		memo.Hits, memo.Misses, memo.Duplicates, memo.Evictions, memo.Entries, memo.Shards,
-		st.Generated, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions, st.Demotions, st.Shards)
+		st.Generated, st.Hits, st.Misses, float64(st.BytesInUse)/(1<<20), st.Evictions, st.Demotions, st.Shards,
+		fe.Built, fe.Reused)
 }
 
 // Execute runs the plan on the engine's worker pool and feeds every
@@ -407,8 +411,23 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	var nResumed, nMemoized atomic.Uint64
 	fromResume := make([]bool, len(plan.Cells))
 	fromMemo := make([]bool, len(plan.Cells))
-	outcomes, runErr := runner.Run(ctx, rcfg, rcells,
-		func(_ context.Context, i int, _ runner.Cell) (sim.RunReport, error) {
+	skip := make([]bool, len(plan.Cells))
+	for i, key := range keys {
+		_, skip[i] = resumed[key]
+	}
+	workers := e.cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	fronts, err := newFrontEnds(e, plan, skip, workers)
+	if err != nil {
+		if journal != nil {
+			journal.Close()
+		}
+		return sum, err
+	}
+	outcomes, runErr := runner.RunOrdered(ctx, rcfg, rcells, fronts.order,
+		func(ctx context.Context, i int, _ runner.Cell) (rep sim.RunReport, err error) {
 			// Dispatch by plan position: labels need not be unique (the
 			// ablations run several variants under one machine name).
 			key := keys[i]
@@ -419,9 +438,10 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 				nResumed.Add(1)
 				fromResume[i] = true
 			} else {
+				// A panic leaves err nil here, which done treats as final.
+				defer func() { fronts.done(i, err) }()
 				var memoized bool
-				var err error
-				rep, memoized, err = e.runKeyed(plan.Cells[i], key, plan.Accesses, plan.Warmup, plan.Sample)
+				rep, memoized, err = e.runKeyed(key, func() (sim.RunReport, error) { return fronts.run(ctx, i) })
 				if err != nil {
 					return rep, err
 				}
@@ -456,6 +476,7 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	sum.Manifest = runner.BuildManifest(outcomes)
 	sum.Store = e.store.Stats()
 	sum.Memo = e.memo.stats()
+	sum.FrontEnd, sum.peakStreams = fronts.stats()
 
 	// Sinks see successful results in plan order, so identical plans
 	// produce identical sink output regardless of worker count.
@@ -500,12 +521,12 @@ func (e *Engine) Execute(ctx context.Context, plan Plan, opt ExecOptions, sinks 
 	return sum, runErr
 }
 
-// runKeyed satisfies one keyed cell from the memo or the simulator.
-func (e *Engine) runKeyed(c Cell, key checkpoint.Key, accesses, warmup int, spec sample.Spec) (rep sim.RunReport, memoized bool, err error) {
+// runKeyed satisfies one keyed cell from the memo or by simulating it.
+func (e *Engine) runKeyed(key checkpoint.Key, simulate func() (sim.RunReport, error)) (rep sim.RunReport, memoized bool, err error) {
 	if rep, ok := e.memo.get(key); ok {
 		return rep, true, nil
 	}
-	rep, err = e.simulate(c, accesses, warmup, spec)
+	rep, err = simulate()
 	if err != nil {
 		return rep, false, err
 	}

@@ -347,6 +347,7 @@ type Stats struct {
 	Slots    int
 	Memo     engine.MemoStats
 	Store    StoreStats
+	FrontEnd engine.FrontEndStats
 }
 
 // StoreStats mirrors the trace arena counters (tracestore.Stats) so
@@ -828,6 +829,7 @@ func (m *Manager) Stats() Stats {
 		Waiting:  waiting,
 		Slots:    m.gate.total,
 		Memo:     m.eng.MemoStats(),
+		FrontEnd: m.eng.FrontEndStats(),
 		ByState:  map[State]int{},
 	}
 	ts := m.eng.Store().Stats()

@@ -226,34 +226,19 @@ func (l *L1) Energy() energy.Breakdown { return l.meter.Breakdown() }
 // MissRate is the L1's overall miss rate.
 func (l *L1) MissRate() float64 { return l.c.Stats().MissRate() }
 
-// Hierarchy wires CPU-visible accesses through L1s, the L2, and DRAM.
+// Hierarchy wires CPU-visible accesses through L1s, the L2, and DRAM:
+// the front end (both L1s and the prefetcher) runs stage 1 of replay,
+// and Replay runs the L2, DRAM and tap side (stage 2; see frame.go).
 type Hierarchy struct {
-	L1I  *L1
-	L1D  *L1
+	Front
 	L2   core.L2
 	DRAM *DRAM
 
 	// L2Tap, when set, observes every L2-level access (demand misses
-	// from the L1s and dirty L1 writebacks) as a trace record. The
-	// static sizing experiments replay this captured stream.
+	// from the L1s, prefetch reads and dirty L1 writebacks) as a trace
+	// record. The static sizing experiments replay this captured
+	// stream.
 	L2Tap func(a trace.Access)
-
-	// NextLinePrefetch enables a simple L1 next-line prefetcher: on an
-	// L1 data miss, the following block is fetched into the L1 as well
-	// (through the L2, off the critical path). Mobile cores ship
-	// stride/next-line prefetchers; the E17 experiment checks the
-	// paper's conclusions hold with one enabled.
-	NextLinePrefetch bool
-	// SampleFilter, when set, restricts internally generated traffic to
-	// the sampled block population: the prefetcher must not fetch a
-	// block the replay filter would have dropped, or the sampled run
-	// touches sets the scaling rules assume are idle. The demand stream
-	// is filtered upstream; this guards only hierarchy-originated
-	// addresses. A func field rather than a selector type keeps mem
-	// free of a sample-package dependency.
-	SampleFilter func(blockAddr uint64) bool
-	// Prefetches counts issued prefetch fills.
-	Prefetches uint64
 
 	// lastAdvance remembers the last leakage integration point.
 	lastAdvance uint64
@@ -276,77 +261,7 @@ func NewHierarchy(l1i, l1d L1Config, l2 core.L2, dram *DRAM) (*Hierarchy, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Hierarchy{L1I: i, L1D: d, L2: l2, DRAM: dram}, nil
-}
-
-// missPath is the L1-miss continuation shared by the frame kernel and
-// AccessPre, and the hierarchy's access model past the L1: an L1 miss
-// pays the L2 access (bank wait + array read), and an L2 miss
-// additionally pays DRAM; the return value is those stall cycles. L1
-// hits stall nothing (the caller handles them). Dirty L1 victims are
-// written back into the L2 (write-allocate, no fetch) and dirty L2
-// victims to DRAM; writebacks consume bandwidth and energy but do not
-// stall the CPU. The optional next-line prefetch runs off the critical
-// path.
-func (h *Hierarchy) missPath(l1 *L1, a trace.Access, write bool, now uint64) uint64 {
-	// L1 miss: demand-read the block from L2.
-	l1.meter.Read(1) // tag probe
-	blockAddr := l1.c.BlockAddr(a.Addr)
-	if h.L2Tap != nil {
-		h.tap(blockAddr, a.PC, false, a.Domain)
-	}
-	l2hit, l2lat := h.L2.Access(blockAddr, false, a.Domain, now)
-	stall := l2lat
-	if !l2hit {
-		stall += h.DRAM.Read(blockAddr)
-	}
-
-	// Fill the L1; a dirty victim goes down into the L2 as a write.
-	res := l1.c.Fill(a.Addr, write, a.Domain, now)
-	l1.meter.Write(1)
-	if res.Evicted && res.EvictedDirty {
-		l1.meter.Read(1) // victim readout
-		if h.L2Tap != nil {
-			h.tap(res.EvictedAddr, a.PC, true, res.EvictedDomain)
-		}
-		h.L2.Access(res.EvictedAddr, true, res.EvictedDomain, now)
-	}
-
-	// Next-line prefetch: bring block+1 into the L1 off the critical
-	// path (no stall), unless it is already resident.
-	if h.NextLinePrefetch && a.Op != trace.Ifetch {
-		next := blockAddr + uint64(l1.cfg.BlockBytes)
-		if h.SampleFilter != nil && !h.SampleFilter(next) {
-			return stall
-		}
-		if _, _, hit := l1.c.Probe(next); !hit {
-			h.Prefetches++
-			l1.meter.Read(1)
-			h.tap(next, a.PC, false, a.Domain)
-			if pfHit, _ := h.L2.Access(next, false, a.Domain, now); !pfHit {
-				h.DRAM.Read(next) // energy/traffic, no stall
-			}
-			pres := l1.c.Fill(next, false, a.Domain, now)
-			l1.meter.Write(1)
-			if pres.Evicted && pres.EvictedDirty {
-				l1.meter.Read(1)
-				h.tap(pres.EvictedAddr, a.PC, true, pres.EvictedDomain)
-				h.L2.Access(pres.EvictedAddr, true, pres.EvictedDomain, now)
-			}
-		}
-	}
-	return stall
-}
-
-func (h *Hierarchy) tap(addr, pc uint64, write bool, dom trace.Domain) {
-	if h.L2Tap == nil {
-		return
-	}
-	op := trace.Load
-	if write {
-		op = trace.Store
-	}
-	h.L2Tap(trace.Access{Addr: addr, PC: pc, Op: op, Domain: dom})
+	return &Hierarchy{Front: Front{L1I: i, L1D: d}, L2: l2, DRAM: dram}, nil
 }
 
 // Advance integrates leakage in every level up to cycle now.

@@ -32,12 +32,18 @@ func testHierarchy(t *testing.T) (*Hierarchy, *DRAM) {
 	return h, dram
 }
 
-// access drives one CPU access through the per-record precomputed path
-// (PrecomputeFrame + AccessPre) and returns its stall cycles.
+// access drives one CPU access at cycle now through both replay
+// stages (Front.Frame, then Replay of its events) and returns its
+// stall cycles.
 func access(h *Hierarchy, a trace.Access, now uint64) uint64 {
 	var pre [1]FramePre
-	h.PrecomputeFrame([]trace.Access{a}, pre[:])
-	return h.AccessPre(&pre[0], now)
+	geom := h.FrameGeom()
+	trace.PrecomputeInto([]trace.Access{a}, pre[:], &geom)
+	pre[0].Busy = 0 // the access happens at now itself
+	evs, _ := h.Frame(pre[:], now, nil)
+	var lag Lag
+	h.Replay(evs, &lag)
+	return lag.Stall
 }
 
 func TestDRAMAccounting(t *testing.T) {

@@ -147,6 +147,14 @@ type Outcome[T any] struct {
 //     returned; cells that never ran carry a context.Canceled outcome.
 //   - If ctx is cancelled, Run drains its workers and returns ctx.Err().
 func Run[T any](ctx context.Context, cfg Config, cells []Cell, fn Func[T]) ([]Outcome[T], error) {
+	return RunOrdered(ctx, cfg, cells, nil, fn)
+}
+
+// RunOrdered is Run with the cells dispatched in the given order, a
+// permutation of their indexes (nil dispatches in input order).
+// Outcomes, fn's cell index and the reported failure stay keyed by
+// input position; only which cells start first changes.
+func RunOrdered[T any](ctx context.Context, cfg Config, cells []Cell, order []int, fn Func[T]) ([]Outcome[T], error) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -184,20 +192,26 @@ func Run[T any](ctx context.Context, cfg Config, cells []Cell, fn Func[T]) ([]Ou
 			}
 		}()
 	}
-	next := len(cells)
+	if order == nil {
+		order = make([]int, len(cells))
+		for i := range order {
+			order[i] = i
+		}
+	}
+	next := len(order)
 feed:
-	for i := range cells {
+	for k, i := range order {
 		select {
 		case idxCh <- i:
 		case <-runCtx.Done():
-			next = i
+			next = k
 			break feed
 		}
 	}
 	close(idxCh)
 	wg.Wait()
 	// Cells never dispatched are cancellation casualties, not successes.
-	for i := next; i < len(cells); i++ {
+	for _, i := range order[next:] {
 		outcomes[i].Err = &RunError{Cell: cells[i], Err: context.Canceled}
 	}
 

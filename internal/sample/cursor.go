@@ -65,15 +65,17 @@ func (st Stats) TotalRatio(f int) float64 {
 	return float64(seen) / float64(kept)
 }
 
-// Source implements trace.Source and additionally exposes the bulk
-// Decode the CPU hot path batches through, with specialized fill paths
-// for the two zero-allocation cursor types.
+// Source implements trace.Source and trace.FrameSource; its bulk
+// Decode has specialized fill paths for the two zero-allocation cursor
+// types, and DecodeFrame stages the kept records for the replay
+// precompute.
 type Source struct {
 	sel    *Selector
 	slice  *trace.SliceCursor
 	packed *trace.Cursor
 	src    trace.Source
 	buf    []trace.Access
+	frame  []trace.Access
 	factor int64
 	// carry accumulates instructions seen (selected and dropped) that
 	// have not yet been charged to an emitted record. It can run
@@ -184,6 +186,18 @@ func (s *Source) Decode(dst []trace.Access) int {
 			}
 		}
 	}
+	return n
+}
+
+// DecodeFrame fills dst with the precomputed frame records of the
+// next selected accesses, returning how many it wrote; fewer than
+// len(dst) only at end of trace.
+func (s *Source) DecodeFrame(dst []trace.FramePre, geom *trace.FrameGeom) int {
+	if len(s.frame) < len(dst) {
+		s.frame = make([]trace.Access, len(dst))
+	}
+	n := s.Decode(s.frame[:len(dst)])
+	trace.PrecomputeInto(s.frame[:n], dst, geom)
 	return n
 }
 

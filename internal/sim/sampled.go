@@ -216,24 +216,10 @@ func RunWorkloadSampled(cfg config.Machine, prof workload.Profile, seed uint64, 
 // the same cell) and additionally caches the filtered derived stream,
 // so the per-cell replay touches only the ~1/Factor kept records.
 func RunWorkloadFromSampled(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, accesses int, spec sample.Spec) (RunReport, error) {
-	if !spec.Norm().Enabled() {
-		return RunWorkloadFrom(store, cfg, prof, seed, accesses)
-	}
 	if store == nil {
 		return RunWorkloadSampled(cfg, prof, seed, accesses, spec)
 	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	src, st, err := filteredTrace(store, m, prof, seed, accesses)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return finishSampled(m, staticStats(st), RunTrace(m, prof.Name, src, 0))
+	return RunCell(store, Cell{Config: cfg, Profile: prof, Seed: seed, Accesses: accesses, Sample: spec})
 }
 
 // RunWarmWorkloadFromSampled is the warm-measurement sampled run. The
@@ -242,25 +228,10 @@ func RunWorkloadFromSampled(store *tracestore.Store, cfg config.Machine, prof wo
 // measured remainder covers the same trace extent the full run
 // measures. Counters are two-snapshot diffs, so scaling composes.
 func RunWarmWorkloadFromSampled(store *tracestore.Store, cfg config.Machine, prof workload.Profile, seed uint64, warmup, measure int, spec sample.Spec) (RunReport, error) {
-	spec = spec.Norm()
-	if !spec.Enabled() {
-		return RunWarmWorkloadFrom(store, cfg, prof, seed, warmup, measure)
-	}
 	if store == nil {
 		return RunWarmWorkloadSampled(cfg, prof, seed, warmup, measure, spec)
 	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := BuildSampled(cfg, spec)
-	if err != nil {
-		return RunReport{}, err
-	}
-	src, st, err := filteredTrace(store, m, prof, seed, warmup+measure)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return finishSampled(m, staticStats(st), RunWarm(m, prof.Name, src, uint64(warmup)/uint64(spec.Factor), 0))
+	return RunCell(store, Cell{Config: cfg, Profile: prof, Seed: seed, Accesses: measure, Warmup: warmup, Sample: spec})
 }
 
 // RunWarmWorkloadSampled is the generator-driven warm sampled run.

@@ -274,9 +274,49 @@ func (r RunReport) L2EnergyJ() float64 { return r.Energy.L2.Total() }
 // IPC forwards the CPU's metric.
 func (r RunReport) IPC() float64 { return r.CPU.IPC() }
 
+// feed supplies the CPU runs of a replay to a machine: live, both
+// stages of the machine's CPU over a trace source, or recorded, only
+// the back end of segments a front end recorded earlier (see Stream).
+type feed interface {
+	run(m *Machine, maxAccesses uint64) cpu.Result
+}
+
+type liveFeed struct{ src trace.Source }
+
+func (f liveFeed) run(m *Machine, maxAccesses uint64) cpu.Result {
+	return m.CPU.Run(f.src, maxAccesses)
+}
+
+// recordingFeed runs both stages like liveFeed and keeps each run's
+// recorded segment.
+type recordingFeed struct {
+	src  trace.Source
+	segs []cpu.Segment
+}
+
+func (f *recordingFeed) run(m *Machine, maxAccesses uint64) cpu.Result {
+	res, seg := m.CPU.Record(f.src, maxAccesses)
+	f.segs = append(f.segs, seg)
+	return res
+}
+
+// recordedFeed replays recorded segments in order; their access bounds
+// were fixed when they were recorded.
+type recordedFeed struct{ segs []cpu.Segment }
+
+func (f *recordedFeed) run(m *Machine, _ uint64) cpu.Result {
+	res := m.CPU.Replay(&f.segs[0])
+	f.segs = f.segs[1:]
+	return res
+}
+
 // RunTrace replays a prepared source on the machine.
 func RunTrace(m *Machine, name string, src trace.Source, maxAccesses uint64) RunReport {
-	res := m.CPU.Run(src, maxAccesses)
+	return runTrace(m, name, liveFeed{src}, maxAccesses)
+}
+
+func runTrace(m *Machine, name string, f feed, maxAccesses uint64) RunReport {
+	res := f.run(m, maxAccesses)
 	rep := RunReport{
 		Machine:          m.Config.Name,
 		Workload:         name,
@@ -324,18 +364,7 @@ func RunWorkloadFrom(store *tracestore.Store, cfg config.Machine, prof workload.
 	if store == nil {
 		return RunWorkload(cfg, prof, seed, accesses)
 	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := Build(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	tr, err := store.GetTrace(prof, seed, accesses)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return auditExit(RunTrace(m, prof.Name, tr.Cursor(), 0), nil)
+	return RunCell(store, Cell{Config: cfg, Profile: prof, Seed: seed, Accesses: accesses})
 }
 
 // buildStandardMachines constructs the seven schemes of the paper's

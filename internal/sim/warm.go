@@ -65,10 +65,14 @@ func subL2Stats(a, b core.L2Stats) core.L2Stats {
 // History (for dynamic designs) is trimmed to decisions taken during
 // measurement.
 func RunWarm(m *Machine, name string, src trace.Source, warmupAccesses, measureAccesses uint64) RunReport {
+	return runWarm(m, name, liveFeed{src}, warmupAccesses, measureAccesses)
+}
+
+func runWarm(m *Machine, name string, f feed, warmupAccesses, measureAccesses uint64) RunReport {
 	if warmupAccesses > 0 {
 		// Run bounds itself by the access count; skipping the LimitSource
 		// wrapper keeps packed-cursor sources on their fast path.
-		m.CPU.Run(src, warmupAccesses)
+		f.run(m, warmupAccesses)
 	}
 	m.Hier.Advance(m.CPU.Now())
 
@@ -86,7 +90,7 @@ func RunWarm(m *Machine, name string, src trace.Source, warmupAccesses, measureA
 		beforeFlush = m.Dynamic.FlushWritebacks()
 	}
 
-	measured := m.CPU.Run(src, measureAccesses)
+	measured := f.run(m, measureAccesses)
 	m.Hier.Advance(m.CPU.Now())
 
 	rep := RunReport{
@@ -137,16 +141,5 @@ func RunWarmWorkloadFrom(store *tracestore.Store, cfg config.Machine, prof workl
 	if store == nil {
 		return RunWarmWorkload(cfg, prof, seed, warmup, measure)
 	}
-	if err := chaosEnter(cfg.Name, prof.Name, seed); err != nil {
-		return RunReport{}, err
-	}
-	m, err := Build(cfg)
-	if err != nil {
-		return RunReport{}, err
-	}
-	tr, err := store.GetTrace(prof, seed, warmup+measure)
-	if err != nil {
-		return RunReport{}, err
-	}
-	return auditExit(RunWarm(m, prof.Name, tr.Cursor(), uint64(warmup), uint64(measure)), nil)
+	return RunCell(store, Cell{Config: cfg, Profile: prof, Seed: seed, Accesses: measure, Warmup: warmup})
 }

@@ -3,8 +3,8 @@ package trace
 import "encoding/binary"
 
 // This file defines the frame record of the batched replay kernel and
-// the fused decode+precompute cursor entry point. The replay hot path
-// (cpu.Run -> mem.AccessFrame) consumes traces in fixed-size frames of
+// the FrameSource every replay source implements. The replay front end
+// (cpu.Run -> mem.Front.Frame) consumes traces in fixed-size frames of
 // FramePre records: the decoded access plus everything the L1 lookup
 // needs precomputed — the target cache's (set, tag) decomposition, the
 // op classification and the instruction count. For packed traces the
@@ -103,6 +103,59 @@ func PrecomputeInto(batch []Access, pre []FramePre, geom *FrameGeom) {
 			Write: a.Op == Store,
 		}
 	}
+}
+
+// FrameSource is what the replay loop reads: each DecodeFrame call
+// fills dst with up to len(dst) precomputed frame records under geom,
+// advances the source, and reports how many it wrote (0 at end of
+// trace). One interface call stages a whole frame, so the per-record
+// work stays devirtualized inside each implementation: Cursor fuses
+// the precompute into its varint decode, SliceCursor precomputes
+// straight out of the resident records, the set-sampling filter
+// precomputes what it keeps, and Frames adapts any other Source.
+type FrameSource interface {
+	DecodeFrame(dst []FramePre, geom *FrameGeom) int
+}
+
+// Frames returns src as a FrameSource: itself when it implements the
+// interface, otherwise an adapter that stages records through Next.
+func Frames(src Source) FrameSource {
+	if fs, ok := src.(FrameSource); ok {
+		return fs
+	}
+	return &sourceFrames{src: src}
+}
+
+// sourceFrames stages a generic Source's records for the precompute.
+type sourceFrames struct {
+	src Source
+	buf []Access
+}
+
+func (s *sourceFrames) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
+	if len(s.buf) < len(dst) {
+		s.buf = make([]Access, len(dst))
+	}
+	n := 0
+	for n < len(dst) {
+		a, ok := s.src.Next()
+		if !ok {
+			break
+		}
+		s.buf[n] = a
+		n++
+	}
+	PrecomputeInto(s.buf[:n], dst, geom)
+	return n
+}
+
+// DecodeFrame precomputes up to len(dst) of the resident records
+// directly into dst, advancing the cursor (hot-tier replay: no decode
+// and no staging copy).
+func (c *SliceCursor) DecodeFrame(dst []FramePre, geom *FrameGeom) int {
+	b := c.Batch(len(dst))
+	PrecomputeInto(b, dst, geom)
+	return len(b)
 }
 
 // DecodeFrame fills dst with up to len(dst) precomputed frame records,

@@ -200,8 +200,8 @@ func PackSlice(recs []Access) *Packed {
 }
 
 // Cursor is a zero-allocation replay position over a Packed trace. It
-// implements Source; cpu.Run recognizes the concrete type and replays
-// it without the per-access interface round-trip. The zero Cursor is
+// implements Source and FrameSource; replay decodes it a frame at a
+// time without the per-access interface round-trip. The zero Cursor is
 // an exhausted empty trace; obtain live ones from Packed.Cursor.
 // Cursors are cheap values — take as many as needed; each replays the
 // whole trace independently.

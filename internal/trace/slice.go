@@ -4,9 +4,9 @@ package trace
 // slice — the "hot tier" counterpart of Cursor. Where Cursor decodes
 // the packed streams record by record, SliceCursor replays records that
 // already exist in memory, and its Batch method exposes them as
-// zero-copy sub-slices: cpu.Run recognizes the concrete type and steps
-// the machine directly over the shared records without staging them
-// through a buffer, so a hot replay pays no decode and no copy at all.
+// zero-copy sub-slices: DecodeFrame precomputes frame records straight
+// out of the shared records without staging them through a buffer, so
+// a hot replay pays no decode and no copy at all.
 //
 // The underlying slice is shared and must be treated as immutable; any
 // number of SliceCursors may replay it concurrently.

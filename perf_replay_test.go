@@ -1,14 +1,16 @@
 // Performance contract of the frame-batched replay kernel
-// (mem.AccessFrame behind cpu.Run): the hot path decodes packed frames
-// straight into precomputed records and replays L1 hits without a
-// Lookup call, a Result struct, or any per-access stats or energy
-// write. Two artifacts live here:
+// (mem.Front.Frame and mem.Hierarchy.Replay behind cpu.Run): the hot
+// path decodes packed frames straight into precomputed records and
+// replays L1 hits without a Lookup call, a Result struct, or any
+// per-access stats or energy write. Two artifacts live here:
 //
 //   - TestReplaySmoke, the CI-safe structural gate (make
-//     bench-replay-smoke): replay must stay allocation-free and under
-//     a budget ~40x above the recorded steady state, so it catches a
-//     reintroduced per-access allocation or interface round-trip
-//     without ever failing on a slow or noisy runner.
+//     bench-replay-smoke): replay — both stages frame by frame, and
+//     the back end alone from a recorded stream — must stay
+//     allocation-free and under a budget ~40x above the recorded
+//     steady state, so it catches a reintroduced per-access allocation
+//     or interface round-trip without ever failing on a slow or noisy
+//     runner.
 //   - TestEmitBenchJSONPR10, the measurement emitter for
 //     BENCH_PR10.json: minimum ns/access over several benchmark
 //     rounds (the recording host is a 1-vCPU cloud machine with heavy
@@ -85,6 +87,44 @@ func TestReplaySmoke(t *testing.T) {
 	t.Logf("replay smoke: %.1f ns/access (budget %d), %.0f allocs/run", nsPerAccess, replaySmokeBudgetNs, allocs)
 	if nsPerAccess > replaySmokeBudgetNs {
 		t.Errorf("replay at %.1f ns/access exceeds the %d ns structural budget", nsPerAccess, replaySmokeBudgetNs)
+	}
+
+	// The back end alone, replaying a stream another machine's front end
+	// recorded: the same gates. Each replay needs a cold machine, so the
+	// machines are built outside the measured calls (AllocsPerRun makes
+	// one warm-up call plus the counted ones).
+	rec, err := sim.Build(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cur := packed.Cursor()
+	_, seg := rec.CPU.Record(&cur, accesses)
+	fresh := make([]*sim.Machine, 4+3)
+	for i := range fresh {
+		if fresh[i], err = sim.Build(cfg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := 0
+	replay := func() {
+		fresh[next].CPU.Replay(&seg)
+		next++
+	}
+	if allocs := testing.AllocsPerRun(3, replay); allocs > 500 {
+		t.Errorf("stream replay of %d accesses allocated %.0f times; per-access allocation regression", accesses, allocs)
+	}
+	best = time.Duration(1 << 62)
+	for round := 0; round < 3; round++ {
+		start := time.Now()
+		replay()
+		if d := time.Since(start); d < best {
+			best = d
+		}
+	}
+	nsPerAccess = float64(best.Nanoseconds()) / float64(accesses)
+	t.Logf("stream replay smoke: %.1f ns/access (budget %d)", nsPerAccess, replaySmokeBudgetNs)
+	if nsPerAccess > replaySmokeBudgetNs {
+		t.Errorf("stream replay at %.1f ns/access exceeds the %d ns structural budget", nsPerAccess, replaySmokeBudgetNs)
 	}
 }
 
